@@ -411,13 +411,13 @@ func BenchmarkUarchThroughput(b *testing.B) {
 }
 
 // BenchmarkTraceReplaySweep replays synthetic power traces against four EV6
-// model configurations through the batched sweep API: four scenarios per
+// model configurations through the batched replay API: four scenarios per
 // model (the production shape — a sweep fans many workloads over a few
 // cooling configurations), sixteen jobs total. Same-model scenarios advance
 // in lockstep, solving all four right-hand sides per factor traversal; on
 // multicore hosts the per-worker chunks additionally scale with GOMAXPROCS.
 // See also internal/rcnet's Backend* benchmarks for the backend matrix and
-// BenchmarkTransientBatch for the width-scaling curve.
+// BenchmarkBatchSessionReplay for one batched stepping session.
 func BenchmarkTraceReplaySweep(b *testing.B) {
 	const perModel = 4
 	fp := floorplan.EV6()
@@ -453,24 +453,20 @@ func BenchmarkTraceReplaySweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	models = append(models, air)
-	var jobs []hotspot.SweepJob
-	for _, m := range models {
-		for _, tr := range traces {
-			tr := tr
-			jobs = append(jobs, hotspot.SweepJob{Model: m, TraceJob: hotspot.TraceJob{
-				Schedule:    func(t float64, p []float64) { copy(p, tr.At(t)) },
-				Duration:    tr.Duration(),
-				SampleEvery: tr.Interval,
-			}})
-		}
-	}
+	jobs := make([]hotspot.ReplayJob, 0, len(models)*len(traces))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range jobs {
-			jobs[j].Temps = jobs[j].Model.AmbientState()
+		jobs = jobs[:0]
+		for _, m := range models {
+			for _, tr := range traces {
+				jobs = append(jobs, hotspot.ReplayJob{Model: m, Rows: tr.Reader()}) // nil Temps: ambient start
+			}
 		}
-		if _, err := hotspot.RunSweep(jobs, 0); err != nil {
-			b.Fatal(err)
+		_, errs := hotspot.ReplayBatchResults(jobs, 0)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")

@@ -221,9 +221,7 @@ func (s *Scenario) RunTransient() ([]hotspot.TracePoint, error) {
 		return nil, err
 	}
 	state := append([]float64(nil), ss.Temps...)
-	return s.Model.RunTrace(state, func(t float64, p []float64) {
-		copy(p, s.Trace.At(t))
-	}, s.Trace.Duration(), s.Trace.Interval)
+	return s.Model.NewSession().ReplayRows(state, s.Trace.Reader())
 }
 
 // ReconcileResult is the output of ReconcileAirFromOil: the paper's §6

@@ -179,30 +179,9 @@ func Fig12TempTraces(opt Options) (*Fig12Result, error) {
 	}
 	fp := floorplan.EV6()
 
-	// Both packages replay the same trace; warm-start each from its own
-	// average-power steady state and fan the two replays across the batched
-	// transient API.
-	prep := func(m *hotspot.Model) (hotspot.SweepJob, error) {
-		pAvg, err := m.PowerVector(avgPowerMap(tr))
-		if err != nil {
-			return hotspot.SweepJob{}, err
-		}
-		return hotspot.SweepJob{Model: m, TraceJob: hotspot.TraceJob{
-			Temps:       m.SteadyState(pAvg).Temps,
-			Schedule:    func(t float64, p []float64) { copy(p, tr.At(t)) },
-			Duration:    tr.Duration(),
-			SampleEvery: tr.Interval,
-		}}, nil
-	}
-	oilJob, err := prep(oil)
-	if err != nil {
-		return nil, err
-	}
-	airJob, err := prep(air)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := hotspot.RunSweep([]hotspot.SweepJob{oilJob, airJob}, 0)
+	// Both packages replay the same trace, each warm-started from its own
+	// average-power steady state.
+	pts, err := warmReplay(tr, oil, air)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -125,6 +126,22 @@ func avgPowerMap(tr *trace.PowerTrace) map[string]float64 {
 		out[n] = avg[i]
 	}
 	return out
+}
+
+// warmReplay replays tr through every model in one batched call, each
+// model warm-started from its own average-power steady state. Results are
+// indexed like models.
+func warmReplay(tr *trace.PowerTrace, models ...*hotspot.Model) ([][]hotspot.TracePoint, error) {
+	jobs := make([]hotspot.ReplayJob, len(models))
+	for i, m := range models {
+		pAvg, err := m.PowerVector(avgPowerMap(tr))
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = hotspot.ReplayJob{Model: m, Temps: m.SteadyState(pAvg).Temps, Rows: tr.Reader()}
+	}
+	pts, errs := hotspot.ReplayBatchResults(jobs, 0)
+	return pts, errors.Join(errs...)
 }
 
 // hottestBlocks returns the n hottest block names from a per-block Celsius

@@ -212,18 +212,6 @@ func Fig8ShortTransient(opt Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep := func(m *hotspot.Model) (hotspot.SweepJob, error) {
-		pAvg, err := m.PowerVector(avgPowerMap(tr))
-		if err != nil {
-			return hotspot.SweepJob{}, err
-		}
-		return hotspot.SweepJob{Model: m, TraceJob: hotspot.TraceJob{
-			Temps:       m.SteadyState(pAvg).Temps,
-			Schedule:    func(t float64, p []float64) { copy(p, tr.At(t)) },
-			Duration:    0.1,
-			SampleEvery: 1e-3,
-		}}, nil
-	}
 	// The rise above the period minimum of the pulsed block.
 	series := func(pts []hotspot.TracePoint) (times, temps []float64) {
 		idx := fp.Index(hot)
@@ -249,15 +237,7 @@ func Fig8ShortTransient(opt Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	oilJob, err := prep(oil)
-	if err != nil {
-		return nil, err
-	}
-	airJob, err := prep(air)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := hotspot.RunSweep([]hotspot.SweepJob{oilJob, airJob}, 0)
+	pts, err := warmReplay(tr, oil, air)
 	if err != nil {
 		return nil, err
 	}
@@ -333,9 +313,7 @@ func Fig9HotSpotMigration(opt Options) (*Fig9Result, error) {
 		iIR, iFP := fp.Index("IntReg"), fp.Index("FPMap")
 		t0IR := m.NewResult(state).BlockC("IntReg")
 		t0FP := m.NewResult(state).BlockC("FPMap")
-		pts, err := m.RunTrace(state, func(t float64, p []float64) {
-			copy(p, tr.At(t))
-		}, 15e-3, 0.5e-3)
+		pts, err := m.NewSession().ReplayRows(state, tr.Reader())
 		if err != nil {
 			return nil, nil, nil, err
 		}

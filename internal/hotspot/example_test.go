@@ -47,37 +47,42 @@ func ExampleNew() {
 	// AIR-SINK: hottest block Dcache, R_conv 1.00 K/W
 }
 
-// ExampleModel_RunTrace drives a model with a time-varying power schedule.
-func ExampleModel_RunTrace() {
+// ExampleReplayBatchResults replays one power trace through both cooling
+// configurations in a single batched call: 100 W for the first half
+// second, then nothing, in 0.25 s rows.
+func ExampleReplayBatchResults() {
 	fp := floorplan.UniformDie("die", 0.02, 0.02)
-	m, err := hotspot.New(hotspot.Config{
-		Floorplan: fp,
-		Package:   hotspot.OilSilicon,
-		AmbientK:  300,
-	})
+	tr, err := trace.New(fp.Names(), 0.25)
 	if err != nil {
 		panic(err)
 	}
-	state := m.AmbientState()
-	pts, err := m.RunTrace(state, func(t float64, p []float64) {
-		if t < 0.5 {
-			p[0] = 100 // watts for the first half second
-		} else {
-			p[0] = 0
+	for _, w := range []float64{100, 100, 0, 0} {
+		if err := tr.Append([]float64{w}); err != nil {
+			panic(err)
 		}
-	}, 1.0, 0.25)
-	if err != nil {
-		panic(err)
 	}
-	for _, p := range pts {
-		fmt.Printf("t=%.2fs rise=%.0fK\n", p.Time, p.BlockC[0]-26.85)
+	var jobs []hotspot.ReplayJob
+	for _, pkg := range []hotspot.PackageKind{hotspot.OilSilicon, hotspot.AirSink} {
+		m, err := hotspot.New(hotspot.Config{Floorplan: fp, Package: pkg, AmbientK: 300})
+		if err != nil {
+			panic(err)
+		}
+		jobs = append(jobs, hotspot.ReplayJob{Model: m, Rows: tr.Reader()}) // nil Temps: start at ambient
+	}
+	results, errs := hotspot.ReplayBatchResults(jobs, 0)
+	for j, pts := range results {
+		if errs[j] != nil {
+			panic(errs[j])
+		}
+		fmt.Printf("%s:", jobs[j].Model.Config().Package)
+		for _, p := range pts {
+			fmt.Printf(" %.0fK", p.BlockC[0]-26.85)
+		}
+		fmt.Println()
 	}
 	// Output:
-	// t=0.00s rise=0K
-	// t=0.25s rise=41K
-	// t=0.50s rise=65K
-	// t=0.75s rise=40K
-	// t=1.00s rise=25K
+	// OIL-SILICON: 0K 41K 65K 40K 25K
+	// AIR-SINK: 0K 4K 5K 1K 0K
 }
 
 // ExampleSession_ReplayRows streams a power trace through a per-goroutine

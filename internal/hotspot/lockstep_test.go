@@ -1,16 +1,18 @@
 package hotspot
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/rcnet"
 	"repro/internal/trace"
 )
 
-// Parity tests for the lockstep batch paths at the hotspot layer: RunSweep
-// and RunReplayBatch must reproduce their sequential counterparts bit for
-// bit at any worker count, and the K-wide BatchSession must match Session.
+// Parity tests for the lockstep paths at the hotspot layer: the batched
+// replay must reproduce per-job Session.ReplayRows bit for bit at any worker
+// count, and the K-wide BatchSession must match Session.
 
 func lockstepModels(t *testing.T) (*Model, *Model) {
 	t.Helper()
@@ -40,103 +42,69 @@ func pulse(t *testing.T, block string) *trace.PowerTrace {
 	return tr
 }
 
-// TestRunSweepLockstepParity: sweeps mixing two models and several
-// same-model scenarios must match per-job sequential RunTrace bitwise at
-// every worker count (same-model jobs lockstep; chunking varies with
-// workers).
-func TestRunSweepLockstepParity(t *testing.T) {
-	oil, air := lockstepModels(t)
-	traces := []*trace.PowerTrace{pulse(t, "IntReg"), pulse(t, "FPMap"), pulse(t, "Dcache")}
-	mkJobs := func() []SweepJob {
-		var jobs []SweepJob
-		for _, m := range []*Model{oil, air} {
-			for _, tr := range traces {
-				tr := tr
-				jobs = append(jobs, SweepJob{Model: m, TraceJob: TraceJob{
-					Temps:       m.AmbientState(),
-					Schedule:    func(tm float64, p []float64) { copy(p, tr.At(tm)) },
-					Duration:    tr.Duration(),
-					SampleEvery: tr.Interval,
-				}})
-			}
-		}
-		return jobs
+// samePoints fails unless got and want are bit-identical point series.
+func samePoints(t *testing.T, what string, got, want []TracePoint) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points vs %d", what, len(got), len(want))
 	}
-	ref := make([][]TracePoint, 0)
-	for _, job := range mkJobs() {
-		pts, err := job.Model.RunTrace(job.Temps, job.Schedule, job.Duration, job.SampleEvery)
-		if err != nil {
-			t.Fatal(err)
+	for i := range want {
+		if got[i].Time != want[i].Time {
+			t.Fatalf("%s point %d: time %v vs %v", what, i, got[i].Time, want[i].Time)
 		}
-		ref = append(ref, pts)
-	}
-	for _, workers := range []int{1, 2, 5} {
-		got, err := RunSweep(mkJobs(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range ref {
-			if len(got[j]) != len(ref[j]) {
-				t.Fatalf("workers=%d job %d: %d points vs %d", workers, j, len(got[j]), len(ref[j]))
-			}
-			for i := range ref[j] {
-				for b := range ref[j][i].BlockC {
-					if got[j][i].BlockC[b] != ref[j][i].BlockC[b] {
-						t.Fatalf("workers=%d job %d point %d block %d: %v vs %v",
-							workers, j, i, b, got[j][i].BlockC[b], ref[j][i].BlockC[b])
-					}
-				}
+		for b := range want[i].BlockC {
+			if got[i].BlockC[b] != want[i].BlockC[b] {
+				t.Fatalf("%s point %d block %d: %v vs %v", what, i, b, got[i].BlockC[b], want[i].BlockC[b])
 			}
 		}
 	}
 }
 
-// TestRunReplayBatchLockstepParity: streamed lockstep replay — including
-// traces of different lengths in one group, which drop out at EOF — must
-// match sequential Session.ReplayRows bitwise.
-func TestRunReplayBatchLockstepParity(t *testing.T) {
+// TestReplayBatchMatchesSessionReplay: batches mixing three models, several
+// same-model jobs and traces of different lengths (shorter ones drop out
+// of their lockstep group at EOF) must match per-job Session.ReplayRows
+// bitwise at every worker count, including GOMAXPROCS (workers = 0). A
+// same-model batch wider than rcnet.MaxBatchWidth splits into several
+// groups with the same per-job results.
+func TestReplayBatchMatchesSessionReplay(t *testing.T) {
 	oil, air := lockstepModels(t)
+	oil2 := oilModel(t, floorplan.EV6(), Uniform, 1.0, false)
 	long := pulse(t, "IntReg")
-	short := pulse(t, "FPMap")
-	shortRows := short.Rows[:len(short.Rows)/2]
-	shortTr := &trace.PowerTrace{Names: short.Names, Interval: short.Interval}
-	for _, r := range shortRows {
-		if err := shortTr.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	models := []*Model{oil, oil, air, oil}
-	srcs := []*trace.PowerTrace{long, shortTr, long, long}
+	short := &trace.PowerTrace{Names: long.Names, Interval: long.Interval, Rows: pulse(t, "FPMap").Rows[:5]}
+	models := []*Model{oil, oil, air, oil2, oil, air}
+	srcs := []*trace.PowerTrace{long, short, long, pulse(t, "Dcache"), long, short}
 	ref := make([][]TracePoint, len(models))
-	for j := range models {
-		pts, err := models[j].NewSession().ReplayRows(models[j].AmbientState(), srcs[j].Reader())
+	for j, m := range models {
+		pts, err := m.NewSession().ReplayRows(m.AmbientState(), srcs[j].Reader())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref[j] = pts
 	}
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 5, 0} {
 		jobs := make([]ReplayJob, len(models))
-		for j := range models {
-			jobs[j] = ReplayJob{Model: models[j], Rows: srcs[j].Reader()}
+		for j, m := range models {
+			jobs[j] = ReplayJob{Model: m, Rows: srcs[j].Reader()}
 		}
-		got, err := RunReplayBatch(jobs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, errs := ReplayBatchResults(jobs, workers)
 		for j := range ref {
-			if len(got[j]) != len(ref[j]) {
-				t.Fatalf("workers=%d job %d: %d points vs %d", workers, j, len(got[j]), len(ref[j]))
+			if errs[j] != nil {
+				t.Fatalf("workers=%d job %d: %v", workers, j, errs[j])
 			}
-			for i := range ref[j] {
-				for b := range ref[j][i].BlockC {
-					if got[j][i].BlockC[b] != ref[j][i].BlockC[b] {
-						t.Fatalf("workers=%d job %d point %d block %d: %v vs %v",
-							workers, j, i, b, got[j][i].BlockC[b], ref[j][i].BlockC[b])
-					}
-				}
-			}
+			samePoints(t, fmt.Sprintf("workers=%d job %d", workers, j), got[j], ref[j])
 		}
+	}
+
+	wide := make([]ReplayJob, rcnet.MaxBatchWidth+6)
+	for j := range wide {
+		wide[j] = ReplayJob{Model: air, Rows: short.Reader()}
+	}
+	got, errs := ReplayBatchResults(wide, 1)
+	for j := range wide {
+		if errs[j] != nil {
+			t.Fatalf("wide job %d: %v", j, errs[j])
+		}
+		samePoints(t, fmt.Sprintf("wide job %d", j), got[j], ref[5])
 	}
 }
 

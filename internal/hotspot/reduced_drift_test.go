@@ -76,11 +76,11 @@ func maxReplayDriftK(t *testing.T, cfg Config, tr *trace.PowerTrace) (driftK flo
 		t.Fatalf("backend = %q, want reduced", red.SolverBackend())
 	}
 	warm := full.SteadyState(avgPowerVector(t, full, tr)).Temps
-	fullPts, err := full.ReplayRows(append([]float64(nil), warm...), tr.Reader())
+	fullPts, err := full.NewSession().ReplayRows(append([]float64(nil), warm...), tr.Reader())
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
-	redPts, err := red.ReplayRows(append([]float64(nil), warm...), tr.Reader())
+	redPts, err := red.NewSession().ReplayRows(append([]float64(nil), warm...), tr.Reader())
 	if err != nil {
 		t.Fatalf("reduced replay: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/pool"
 	"repro/internal/rcnet"
@@ -16,7 +17,8 @@ import (
 // concurrently against the same Model; one Session must not be shared
 // between goroutines. Long-lived services pool Sessions per cached model so
 // repeated steady solves warm-start from the previous solution and repeated
-// same-interval replays reuse one shifted operator.
+// same-dt steps reuse one shifted operator. Replays share the solver's
+// per-dt factor cache, so a repeated same-interval replay never refactors.
 type Session struct {
 	m         *Model
 	rs        *rcnet.Session
@@ -73,52 +75,15 @@ func (m *Model) CheckTraceNames(names []string) error {
 // streaming the same rows (trace.NewDecoder) produce bit-identical results.
 //
 // temps (length = node count) is advanced in place. An empty trace (no
-// rows) is an error.
+// rows) is an error. ReplayRows is a one-job ReplayBatchResults on the
+// calling goroutine: same loop, same results, same errors.
 func (s *Session) ReplayRows(temps []float64, rows trace.RowReader) ([]TracePoint, error) {
-	m := s.m
-	if len(temps) != m.net.N() {
-		return nil, fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps), m.net.N())
+	if n := s.m.net.N(); len(temps) != n {
+		return nil, fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps), n)
 	}
-	dt := rows.Interval()
-	if !(dt > 0) {
-		return nil, fmt.Errorf("hotspot: non-positive trace interval %g", dt)
-	}
-	cols := m.TraceColumns(rows.Names())
-	row := make([]float64, len(cols))
-	var out []TracePoint
-	record := func(t float64) {
-		out = append(out, TracePoint{Time: t, BlockC: m.NewResult(temps).BlocksC()})
-	}
-	record(0)
-	t := 0.0
-	n := 0
-	for {
-		err := rows.Next(row)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hotspot: replay row %d: %w", n+1, err)
-		}
-		for i := range s.nodePower {
-			s.nodePower[i] = 0
-		}
-		for c, bi := range cols {
-			if bi >= 0 {
-				s.nodePower[m.blockNode[bi]] = row[c]
-			}
-		}
-		if err := s.rs.StepBE(temps, s.nodePower, dt); err != nil {
-			return nil, fmt.Errorf("hotspot: replay row %d: %w", n+1, err)
-		}
-		t += dt
-		n++
-		record(t)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("hotspot: empty trace: no power rows")
-	}
-	return out, nil
+	results, errs := make([][]TracePoint, 1), make([]error, 1)
+	replayChunk([]ReplayJob{{Model: s.m, Temps: temps, Rows: rows}}, []int{0}, results, errs)
+	return results[0], errs[0]
 }
 
 // StepBlockPower advances temps (length = node count, in place) by one
@@ -127,7 +92,7 @@ func (s *Session) ReplayRows(temps []float64, rows trace.RowReader) ([]TracePoin
 // (internal/scenario): callers recompute blockPower between steps from
 // feedback — throttling, temperature-dependent leakage — that an offline
 // trace cannot carry. Same-dt steps reuse the session's cached shifted
-// operator, exactly like ReplayRows.
+// operator.
 func (s *Session) StepBlockPower(temps, blockPower []float64, dt float64) error {
 	m := s.m
 	if len(temps) != m.net.N() {
@@ -148,13 +113,8 @@ func (s *Session) StepBlockPower(temps, blockPower []float64, dt float64) error 
 	return s.rs.StepBE(temps, s.nodePower, dt)
 }
 
-// ReplayRows is Session.ReplayRows on a throwaway session. Safe to call
-// concurrently (each call builds its own session).
-func (m *Model) ReplayRows(temps []float64, rows trace.RowReader) ([]TracePoint, error) {
-	return m.NewSession().ReplayRows(temps, rows)
-}
-
-// ReplayJob describes one independent streamed replay for RunReplayBatch.
+// ReplayJob describes one independent streamed replay for
+// ReplayBatchResults.
 type ReplayJob struct {
 	Model *Model
 	// Temps is the initial state (advanced in place); nil starts from
@@ -174,7 +134,9 @@ type ReplayJob struct {
 // all of them — so same-model same-interval jobs pay one factor traversal
 // per step instead of one per job. Per-job results are bit-identical to
 // Session.ReplayRows at any worker count. Shorter traces simply drop out of
-// their group at EOF.
+// their group at EOF. A malformed job (nil model or rows, non-positive
+// interval, wrong state length) or a reader that panics fails only its own
+// job.
 //
 // Lockstep polling means each reader must be able to produce its next row
 // without another reader in the batch being drained first. Independent
@@ -184,164 +146,161 @@ type ReplayJob struct {
 func ReplayBatchResults(jobs []ReplayJob, workers int) ([][]TracePoint, []error) {
 	results := make([][]TracePoint, len(jobs))
 	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
+	idx := make([]int, len(jobs))
+	for j := range idx {
+		idx[j] = j
 	}
-	valid := make([]int, 0, len(jobs))
-	for j, job := range jobs {
-		switch {
-		case job.Model == nil:
-			errs[j] = fmt.Errorf("nil model")
-		case job.Rows == nil:
-			errs[j] = fmt.Errorf("nil row source")
-		default:
-			valid = append(valid, j)
-		}
-	}
-	pool.RunChunked(valid, workers, func(chunk []int) {
-		replayRowsChunk(jobs, chunk, results, errs)
+	pool.RunChunked(idx, workers, func(chunk []int) {
+		replayChunk(jobs, chunk, results, errs)
 	})
 	return results, errs
 }
 
-// replayRowsChunk groups one worker's jobs by (model, interval) and
-// locksteps each group, splitting past rcnet.MaxBatchWidth. Jobs whose
-// reader reports a non-positive interval fail up front, exactly like
-// ReplayRows, and a reader that panics in Interval() fails its own job.
-func replayRowsChunk(jobs []ReplayJob, idx []int, results [][]TracePoint, errs []error) {
+// lane is one validated job's replay state inside a lockstep group.
+type lane struct {
+	job   int
+	rows  trace.RowReader
+	temps []float64 // the job's state, advanced in place
+	power []float64 // node power of the current row
+	cols  []int     // trace column → block index, -1 = ignored column
+	row   []float64
+	pts   []TracePoint
+	flat  []float64 // every point's BlockC, one block-count stride per point
+}
+
+// newLane validates a job and resolves its interval, initial state and
+// column map. A reader that panics fails its own job.
+func newLane(j int, job ReplayJob) (ln *lane, dt float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ln, err = nil, fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	m := job.Model
+	switch {
+	case m == nil:
+		return nil, 0, fmt.Errorf("nil model")
+	case job.Rows == nil:
+		return nil, 0, fmt.Errorf("nil row source")
+	}
+	if dt = job.Rows.Interval(); !(dt > 0) {
+		return nil, 0, fmt.Errorf("hotspot: non-positive trace interval %g", dt)
+	}
+	temps := job.Temps
+	if temps == nil {
+		temps = m.AmbientState()
+	}
+	if n := m.net.N(); len(temps) != n {
+		return nil, 0, fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps), n)
+	}
+	cols := m.TraceColumns(job.Rows.Names())
+	return &lane{
+		job: j, rows: job.Rows, temps: temps, cols: cols,
+		power: make([]float64, len(temps)), row: make([]float64, len(cols)),
+	}, dt, nil
+}
+
+// next pulls the lane's next row; a reader that panics fails its own job.
+func (ln *lane) next() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	return ln.rows.Next(ln.row)
+}
+
+// replayChunk validates jobs[idx], groups them by (model, interval) in
+// first-seen order, splits groups past rcnet.MaxBatchWidth and replays each
+// group in lockstep on the calling goroutine.
+func replayChunk(jobs []ReplayJob, idx []int, results [][]TracePoint, errs []error) {
 	type key struct {
 		m  *Model
 		dt float64
 	}
-	interval := func(j int) (dt float64, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		return jobs[j].Rows.Interval(), nil
-	}
 	var order []key
-	groups := make(map[key][]int)
+	groups := make(map[key][]*lane)
 	for _, j := range idx {
-		dt, err := interval(j)
+		ln, dt, err := newLane(j, jobs[j])
 		if err != nil {
 			errs[j] = err
-			continue
-		}
-		if !(dt > 0) {
-			errs[j] = fmt.Errorf("hotspot: non-positive trace interval %g", dt)
 			continue
 		}
 		k := key{jobs[j].Model, dt}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
-		groups[k] = append(groups[k], j)
+		groups[k] = append(groups[k], ln)
 	}
 	for _, k := range order {
 		g := groups[k]
 		for off := 0; off < len(g); off += rcnet.MaxBatchWidth {
-			end := off + rcnet.MaxBatchWidth
-			if end > len(g) {
-				end = len(g)
-			}
-			lockstepRows(k.m, k.dt, jobs, g[off:end], results, errs)
+			lockstep(k.m, k.dt, g[off:min(off+rcnet.MaxBatchWidth, len(g))], results, errs)
 		}
 	}
 }
 
-// lockstepRows replays one ≤MaxBatchWidth group of same-interval streamed
-// jobs against one model: each step pulls one row per live reader, expands
-// it to node power, and advances every live state in one batched solve.
-func lockstepRows(m *Model, dt float64, jobs []ReplayJob, idx []int, results [][]TracePoint, errs []error) {
-	kk := len(idx)
-	bs := m.solver.NewBatchSession(kk)
-	n := m.net.N()
+// lockstep replays one ≤MaxBatchWidth group of same-interval jobs against
+// one model: each step pulls one row per live reader, expands it to node
+// power, and advances every live state in one batched solve. It is the only
+// trace-replay loop in the repository.
+func lockstep(m *Model, dt float64, lanes []*lane, results [][]TracePoint, errs []error) {
+	kk := len(lanes)
 	nb := len(m.blockNode)
+	bs := m.solver.NewBatchSession(kk)
 	temps := make([][]float64, kk)
 	powers := make([][]float64, kk)
 	serrs := make([]error, kk)
-	cols := make([][]int, kk)
-	rowBufs := make([][]float64, kk)
-	nrows := make([]int, kk)
-	// Per-job setup with panic containment: a broken reader's Names() must
-	// fail its own job, exactly like the per-job sessions it replaced.
-	setup := func(k, j int) {
-		defer func() {
-			if r := recover(); r != nil {
-				errs[j] = fmt.Errorf("job panicked: %v", r)
-				temps[k] = nil
-			}
-		}()
-		temps[k] = jobs[j].Temps
-		if temps[k] == nil {
-			temps[k] = m.AmbientState()
-		}
-		if len(temps[k]) != n {
-			errs[j] = fmt.Errorf("hotspot: temperature vector length %d, want %d", len(temps[k]), n)
-			temps[k] = nil
+	record := func(k int, t float64) {
+		ln := lanes[k]
+		off := len(ln.flat)
+		ln.flat = slices.Grow(ln.flat, nb)[:off+nb]
+		m.BlocksCInto(temps[k], ln.flat[off:])
+		ln.pts = append(ln.pts, TracePoint{Time: t})
+	}
+	// stop drops a lane from the batch: a failed job keeps no points, a
+	// finished one gets its points with BlockC views into the flat record.
+	// Rows stepped so far = len(ln.pts)-1, so a failing row's 1-based
+	// number is len(ln.pts).
+	stop := func(k int, err error) {
+		ln := lanes[k]
+		temps[k] = nil
+		if err != nil {
+			errs[ln.job] = err
 			return
 		}
-		powers[k] = make([]float64, n)
-		cols[k] = m.TraceColumns(jobs[j].Rows.Names())
-		rowBufs[k] = make([]float64, len(cols[k]))
-	}
-	for k, j := range idx {
-		setup(k, j)
-	}
-	record := func(k, j int, t float64) {
-		bc := make([]float64, nb)
-		m.BlocksCInto(temps[k], bc)
-		results[j] = append(results[j], TracePoint{Time: t, BlockC: bc})
-	}
-	fail := func(k, j int, err error) {
-		errs[j] = err
-		results[j] = nil
-		temps[k] = nil
-	}
-	for k, j := range idx {
-		if temps[k] != nil {
-			record(k, j, 0)
+		for i := range ln.pts {
+			ln.pts[i].BlockC = ln.flat[i*nb : (i+1)*nb : (i+1)*nb]
 		}
+		results[ln.job] = ln.pts
 	}
-	// nextRow pulls one row with per-job panic containment (a broken reader
-	// must fail its own job, not the batch).
-	nextRow := func(k, j int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		return jobs[j].Rows.Next(rowBufs[k])
+	for k, ln := range lanes {
+		temps[k], powers[k] = ln.temps, ln.power
+		record(k, 0)
 	}
 	t := 0.0
 	for {
 		live := 0
-		for k, j := range idx {
+		for k, ln := range lanes {
 			if temps[k] == nil {
 				continue
 			}
-			err := nextRow(k, j)
-			if err == io.EOF {
-				if nrows[k] == 0 {
-					fail(k, j, fmt.Errorf("hotspot: empty trace: no power rows"))
-				} else {
-					temps[k] = nil // finished; results stand
+			if err := ln.next(); err != nil {
+				switch {
+				case err != io.EOF:
+					err = fmt.Errorf("hotspot: replay row %d: %w", len(ln.pts), err)
+				case len(ln.pts) == 1:
+					err = fmt.Errorf("hotspot: empty trace: no power rows")
+				default:
+					err = nil // finished; its points stand
 				}
+				stop(k, err)
 				continue
 			}
-			if err != nil {
-				fail(k, j, fmt.Errorf("hotspot: replay row %d: %w", nrows[k]+1, err))
-				continue
-			}
-			np := powers[k]
-			for i := range np {
-				np[i] = 0
-			}
-			for c, bi := range cols[k] {
+			clear(ln.power)
+			for c, bi := range ln.cols {
 				if bi >= 0 {
-					np[m.blockNode[bi]] = rowBufs[k][c]
+					ln.power[m.blockNode[bi]] = ln.row[c]
 				}
 			}
 			live++
@@ -350,40 +309,24 @@ func lockstepRows(m *Model, dt float64, jobs []ReplayJob, idx []int, results [][
 			return
 		}
 		if err := bs.StepBE(temps, powers, dt, serrs); err != nil {
-			for k, j := range idx {
+			for k, ln := range lanes {
 				if temps[k] != nil {
-					fail(k, j, fmt.Errorf("hotspot: replay row %d: %w", nrows[k]+1, err))
+					stop(k, fmt.Errorf("hotspot: replay row %d: %w", len(ln.pts), err))
 				}
 			}
 			return
 		}
 		t += dt
-		for k, j := range idx {
+		for k, ln := range lanes {
 			if temps[k] == nil {
 				continue
 			}
 			if serrs[k] != nil {
-				fail(k, j, fmt.Errorf("hotspot: replay row %d: %w", nrows[k]+1, serrs[k]))
+				stop(k, fmt.Errorf("hotspot: replay row %d: %w", len(ln.pts), serrs[k]))
 				serrs[k] = nil
 				continue
 			}
-			nrows[k]++
-			record(k, j, t)
+			record(k, t)
 		}
 	}
-}
-
-// RunReplayBatch is ReplayBatchResults with the sweep-style error contract:
-// the first error (by job order) is returned after all jobs finish.
-func RunReplayBatch(jobs []ReplayJob, workers int) ([][]TracePoint, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	results, errs := ReplayBatchResults(jobs, workers)
-	for j, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("hotspot: replay job %d: %w", j, err)
-		}
-	}
-	return results, nil
 }

@@ -2,8 +2,9 @@ package hotspot
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -48,11 +49,11 @@ func TestReplayStreamedMatchesLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := m.ReplayRows(m.AmbientState(), tr.Reader())
+	loaded, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := m.ReplayRows(m.AmbientState(), dec)
+	streamed, err := m.NewSession().ReplayRows(m.AmbientState(), dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,39 +73,34 @@ func TestReplayStreamedMatchesLoaded(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesRunTrace: the streaming replay and the schedule-driven
-// trace API integrate the same physics.
-func TestReplayMatchesRunTrace(t *testing.T) {
+// TestReplayMatchesStepBlockPower: the replay engine steps the rows in
+// order, exactly like a hand loop of Session.StepBlockPower.
+func TestReplayMatchesStepBlockPower(t *testing.T) {
 	m := testModel(t)
 	tr := pulseTrace(t, m.Floorplan())
 	cols := m.TraceColumns(tr.Names)
 
-	viaSchedule, err := m.RunTrace(m.AmbientState(), func(tm float64, p []float64) {
-		row := tr.At(tm)
+	temps := m.AmbientState()
+	se := m.NewSession()
+	bp := make([]float64, m.Floorplan().N())
+	want := []TracePoint{{Time: 0, BlockC: m.NewResult(temps).BlocksC()}}
+	for k, row := range tr.Rows {
+		clear(bp)
 		for c, bi := range cols {
 			if bi >= 0 {
-				p[bi] = row[c]
+				bp[bi] = row[c]
 			}
 		}
-	}, tr.Duration(), tr.Interval)
+		if err := se.StepBlockPower(temps, bp, tr.Interval); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, TracePoint{Time: want[k].Time + tr.Interval, BlockC: m.NewResult(temps).BlocksC()})
+	}
+	got, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaReplay, err := m.ReplayRows(m.AmbientState(), tr.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaSchedule) != len(viaReplay) {
-		t.Fatalf("point count: %d vs %d", len(viaSchedule), len(viaReplay))
-	}
-	for i := range viaSchedule {
-		for b := range viaSchedule[i].BlockC {
-			if d := math.Abs(viaSchedule[i].BlockC[b] - viaReplay[i].BlockC[b]); d > 1e-9 {
-				t.Fatalf("point %d block %d: |%g - %g| = %g", i, b,
-					viaSchedule[i].BlockC[b], viaReplay[i].BlockC[b], d)
-			}
-		}
-	}
+	samePoints(t, "replay vs hand loop", got, want)
 }
 
 // TestSessionSteadyMatchesSolver: the warm-started session steady solve
@@ -128,118 +124,180 @@ func TestSessionSteadyMatchesSolver(t *testing.T) {
 	}
 }
 
-// TestRunReplayBatchSharedModel: N jobs against one model match N serial
-// replays.
-func TestRunReplayBatchSharedModel(t *testing.T) {
-	m := testModel(t)
-	tr := pulseTrace(t, m.Floorplan())
-	const n = 4
-	jobs := make([]ReplayJob, n)
-	for i := range jobs {
-		jobs[i] = ReplayJob{Model: m, Rows: tr.Reader()}
-	}
-	batch, err := RunReplayBatch(jobs, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := m.ReplayRows(m.AmbientState(), tr.Reader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range batch {
-		if len(batch[j]) != len(serial) {
-			t.Fatalf("job %d: %d points vs %d", j, len(batch[j]), len(serial))
-		}
-		for i := range serial {
-			for b := range serial[i].BlockC {
-				if batch[j][i].BlockC[b] != serial[i].BlockC[b] {
-					t.Fatalf("job %d point %d block %d differs", j, i, b)
+// replayIsolates runs the jobs through ReplayBatchResults at one worker and
+// at GOMAXPROCS. Jobs named in wantErr must fail with exactly that error
+// and no points; every other job must match its own serial
+// Session.ReplayRows bitwise. jobs is a factory because readers are
+// single-use.
+func replayIsolates(t *testing.T, jobs func() []ReplayJob, wantErr map[int]string) {
+	t.Helper()
+	for _, workers := range []int{1, 0} {
+		batch := jobs()
+		results, errs := ReplayBatchResults(batch, workers)
+		for j, job := range jobs() {
+			if want, bad := wantErr[j]; bad {
+				if errs[j] == nil || errs[j].Error() != want {
+					t.Fatalf("workers=%d job %d: error %v, want %q", workers, j, errs[j], want)
 				}
+				if results[j] != nil {
+					t.Fatalf("workers=%d job %d: failed job kept %d points", workers, j, len(results[j]))
+				}
+				continue
 			}
+			if errs[j] != nil {
+				t.Fatalf("workers=%d healthy job %d: %v", workers, j, errs[j])
+			}
+			want, err := job.Model.NewSession().ReplayRows(job.Model.AmbientState(), job.Rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePoints(t, fmt.Sprintf("workers=%d job %d", workers, j), results[j], want)
 		}
 	}
 }
 
 // TestEmptyTraceErrors: a zero-length trace must yield a descriptive error
-// from every batch entry point, never a panic. (Regression: these paths
-// assumed fully-materialized traces and reached an index panic via
-// PowerTrace.At on an empty trace.)
+// from both entry points, never a panic, and fail only its own job in a
+// batch.
 func TestEmptyTraceErrors(t *testing.T) {
 	m := testModel(t)
+	tr := pulseTrace(t, m.Floorplan())
 	empty, err := trace.New(m.Floorplan().Names(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Batch replay of an empty trace: Duration() == 0.
-	_, err = m.RunTraceBatch([]TraceJob{{
-		Temps:       m.AmbientState(),
-		Schedule:    func(tm float64, p []float64) { copy(p, empty.At(tm)) },
-		Duration:    empty.Duration(),
-		SampleEvery: empty.Interval,
-	}}, 0)
-	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "duration") {
-		t.Fatalf("RunTraceBatch empty trace: got %v", err)
-	}
-
-	// Sweep with an empty trace.
-	_, err = RunSweep([]SweepJob{{Model: m, TraceJob: TraceJob{
-		Temps:       m.AmbientState(),
-		Schedule:    func(tm float64, p []float64) { copy(p, empty.At(tm)) },
-		Duration:    empty.Duration(),
-		SampleEvery: empty.Interval,
-	}}}, 0)
-	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "duration") {
-		t.Fatalf("RunSweep empty trace: got %v", err)
-	}
-
-	// Streaming replay of an empty trace.
-	_, err = m.ReplayRows(m.AmbientState(), empty.Reader())
-	if err == nil || !strings.Contains(err.Error(), "no power rows") {
+	const want = "hotspot: empty trace: no power rows"
+	if _, err := m.NewSession().ReplayRows(m.AmbientState(), empty.Reader()); err == nil || err.Error() != want {
 		t.Fatalf("ReplayRows empty trace: got %v", err)
 	}
+	replayIsolates(t, func() []ReplayJob {
+		return []ReplayJob{
+			{Model: m, Rows: tr.Reader()},
+			{Model: m, Rows: empty.Reader()},
+			{Model: m, Rows: tr.Reader()},
+		}
+	}, map[int]string{1: want})
 }
 
-// TestSweepPanicBecomesError: a schedule that panics mid-replay (the old
-// empty-trace failure mode) fails its own job without crashing the process,
-// and well-formed sibling jobs still complete.
+// panicReader is a trace cursor that panics in one RowReader method: Names,
+// Interval, or Next once it has served two rows.
+type panicReader struct {
+	trace.RowReader
+	in   string
+	rows int
+}
+
+func (r *panicReader) Names() []string {
+	if r.in == "Names" {
+		panic("names exploded")
+	}
+	return r.RowReader.Names()
+}
+
+func (r *panicReader) Interval() float64 {
+	if r.in == "Interval" {
+		panic("interval exploded")
+	}
+	return r.RowReader.Interval()
+}
+
+func (r *panicReader) Next(dst []float64) error {
+	if r.in == "Next" && r.rows == 2 {
+		panic("row exploded")
+	}
+	r.rows++
+	return r.RowReader.Next(dst)
+}
+
+// TestSweepPanicBecomesError: a reader that panics — before replay or mid
+// replay — fails its own job without crashing the process, and well-formed
+// sibling jobs in the same lockstep group still complete.
 func TestSweepPanicBecomesError(t *testing.T) {
 	m := testModel(t)
 	tr := pulseTrace(t, m.Floorplan())
-	cols := m.TraceColumns(tr.Names)
-	good := SweepJob{Model: m, TraceJob: TraceJob{
-		Temps: m.AmbientState(),
-		Schedule: func(tm float64, p []float64) {
-			row := tr.At(tm)
-			for c, bi := range cols {
-				if bi >= 0 {
-					p[bi] = row[c]
-				}
-			}
-		},
-		Duration:    tr.Duration(),
-		SampleEvery: tr.Interval,
-	}}
-	bad := good
-	bad.Schedule = func(tm float64, p []float64) { panic("schedule exploded") }
-	results, err := RunSweep([]SweepJob{bad, good}, 2)
-	if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("want job-0 panic error, got %v", err)
+	replayIsolates(t, func() []ReplayJob {
+		return []ReplayJob{
+			{Model: m, Rows: &panicReader{RowReader: tr.Reader(), in: "Next"}},
+			{Model: m, Rows: tr.Reader()},
+			{Model: m, Rows: &panicReader{RowReader: tr.Reader(), in: "Names"}},
+			{Model: m, Rows: &panicReader{RowReader: tr.Reader(), in: "Interval"}},
+			{Model: m, Rows: tr.Reader()},
+		}
+	}, map[int]string{
+		0: "hotspot: replay row 3: job panicked: row exploded",
+		2: "job panicked: names exploded",
+		3: "job panicked: interval exploded",
+	})
+}
+
+// intervalReader overrides a trace cursor's interval.
+type intervalReader struct {
+	trace.RowReader
+	dt float64
+}
+
+func (r intervalReader) Interval() float64 { return r.dt }
+
+// failingReader returns an error in place of its third row.
+type failingReader struct {
+	trace.RowReader
+	rows int
+}
+
+func (r *failingReader) Next(dst []float64) error {
+	if r.rows == 2 {
+		return errors.New("stream broke")
 	}
-	if results[1] == nil {
-		t.Fatal("good job should still have completed")
+	r.rows++
+	return r.RowReader.Next(dst)
+}
+
+// TestReplayBatchRejectsMalformedJobs: a nil model, nil rows, a
+// non-positive or NaN interval, a wrong-length initial state and a reader
+// error each fail only their own job, with the same error texts the
+// one-job Session.ReplayRows reports.
+func TestReplayBatchRejectsMalformedJobs(t *testing.T) {
+	m := testModel(t)
+	tr := pulseTrace(t, m.Floorplan())
+	replayIsolates(t, func() []ReplayJob {
+		return []ReplayJob{
+			{Model: nil, Rows: tr.Reader()},
+			{Model: m, Rows: tr.Reader()},
+			{Model: m},
+			{Model: m, Rows: intervalReader{tr.Reader(), 0}},
+			{Model: m, Rows: intervalReader{tr.Reader(), math.NaN()}},
+			{Model: m, Temps: make([]float64, 1), Rows: tr.Reader()},
+			{Model: m, Rows: &failingReader{RowReader: tr.Reader()}},
+			{Model: m, Rows: tr.Reader()},
+		}
+	}, map[int]string{
+		0: "nil model",
+		2: "nil row source",
+		3: "hotspot: non-positive trace interval 0",
+		4: "hotspot: non-positive trace interval NaN",
+		5: fmt.Sprintf("hotspot: temperature vector length 1, want %d", len(m.AmbientState())),
+		6: "hotspot: replay row 3: stream broke",
+	})
+	se := m.NewSession()
+	if _, err := se.ReplayRows(m.AmbientState(), intervalReader{tr.Reader(), -1e-3}); err == nil ||
+		err.Error() != "hotspot: non-positive trace interval -0.001" {
+		t.Fatalf("ReplayRows negative interval: got %v", err)
+	}
+	if _, err := se.ReplayRows(m.AmbientState(), &failingReader{RowReader: tr.Reader()}); err == nil ||
+		err.Error() != "hotspot: replay row 3: stream broke" {
+		t.Fatalf("ReplayRows reader error: got %v", err)
 	}
 }
 
-// TestShortTraceStillRuns: a trace shorter than one sample interval is not
-// an error — it runs one shortened step.
+// TestShortTraceStillRuns: a one-row trace is not an error — it runs one
+// step and records the initial and the final state.
 func TestShortTraceStillRuns(t *testing.T) {
 	m := testModel(t)
 	tr, err := trace.Step(m.Floorplan().Names(), map[string]float64{"IntReg": 2}, 1e-3, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := m.ReplayRows(m.AmbientState(), tr.Reader())
+	pts, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
 	if err != nil {
 		t.Fatal(err)
 	}

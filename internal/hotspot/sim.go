@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/materials"
-	"repro/internal/pool"
 	"repro/internal/rcnet"
 )
 
@@ -182,191 +181,6 @@ func (m *Model) TransientAdaptive(temps, power []float64, duration float64, absT
 type TracePoint struct {
 	Time   float64
 	BlockC []float64 // block temperatures in floorplan order, °C
-}
-
-// RunTrace drives the model with a power schedule: schedule fills the
-// per-block power slice (floorplan order, W) for the interval starting at
-// time t. The state is sampled every sampleEvery seconds.
-//
-// RunTrace keeps all mutable solver state per call, so it is safe to run
-// several traces concurrently on one Model (each with its own temps and
-// schedule); RunTraceBatch and RunSweep do exactly that.
-func (m *Model) RunTrace(temps []float64, schedule func(t float64, blockPower []float64), duration, sampleEvery float64) ([]TracePoint, error) {
-	samples, err := m.solver.TransientTrace(temps, m.nodeSchedule(schedule), duration, sampleEvery)
-	if err != nil {
-		return nil, err
-	}
-	return m.tracePoints(samples), nil
-}
-
-// nodeSchedule adapts a per-block schedule to the solver's per-node power
-// contract. Each returned closure owns its block-power buffer, so distinct
-// jobs never share scratch.
-func (m *Model) nodeSchedule(schedule func(t float64, blockPower []float64)) func(t float64, nodePower []float64) {
-	blockPower := make([]float64, m.cfg.Floorplan.N())
-	return func(t float64, nodePower []float64) {
-		schedule(t, blockPower)
-		for i := range nodePower {
-			nodePower[i] = 0
-		}
-		for bi, w := range blockPower {
-			nodePower[m.blockNode[bi]] = w
-		}
-	}
-}
-
-// tracePoints converts solver samples to block-temperature points. All
-// BlockC vectors share one flat backing array: a replay converts thousands
-// of points, and two allocations beat two-per-point.
-func (m *Model) tracePoints(samples []rcnet.Sample) []TracePoint {
-	nb := len(m.blockNode)
-	flat := make([]float64, len(samples)*nb)
-	out := make([]TracePoint, len(samples))
-	for i, s := range samples {
-		bc := flat[i*nb : (i+1)*nb : (i+1)*nb]
-		m.BlocksCInto(s.Temp, bc)
-		out[i] = TracePoint{Time: s.Time, BlockC: bc}
-	}
-	return out
-}
-
-// TraceJob describes one independent trace replay: an initial temperature
-// state (advanced in place), a per-block power schedule, and the replay
-// window.
-type TraceJob struct {
-	Temps       []float64
-	Schedule    func(t float64, blockPower []float64)
-	Duration    float64
-	SampleEvery float64
-}
-
-// RunTraceBatch replays N independent power schedules against this model,
-// fanned across a goroutine worker pool (workers ≤ 0 = GOMAXPROCS). The
-// compiled conductance operator is shared read-only; every job gets its own
-// stepping session and scratch. Results are indexed like jobs.
-func (m *Model) RunTraceBatch(jobs []TraceJob, workers int) ([][]TracePoint, error) {
-	rjobs := make([]rcnet.TraceJob, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = rcnet.TraceJob{
-			Temp:        j.Temps,
-			Schedule:    m.nodeSchedule(j.Schedule),
-			Duration:    j.Duration,
-			SampleEvery: j.SampleEvery,
-		}
-	}
-	samples, err := m.solver.TransientBatch(rjobs, workers)
-	out := make([][]TracePoint, len(jobs))
-	for i, s := range samples {
-		if s != nil {
-			out[i] = m.tracePoints(s)
-		}
-	}
-	return out, err
-}
-
-// SweepJob pairs a model with one trace replay, for sweeps that span several
-// model configurations (packages, flow directions, ablations).
-type SweepJob struct {
-	Model *Model
-	TraceJob
-}
-
-// RunSweep replays scenario jobs across a worker pool, where each job may
-// target a different Model. Jobs are split round-robin into per-worker
-// chunks (workers ≤ 0 uses GOMAXPROCS); each worker groups its chunk by
-// (model, replay window) and advances every group in lockstep, so
-// same-model same-window scenarios solve up to rcnet.MaxBatchWidth
-// right-hand sides per factor traversal. Per-job results are bit-identical
-// at any worker count (batching never changes per-column arithmetic).
-// Results are indexed like jobs; the first error (by job order) is returned
-// after all jobs finish.
-//
-// Jobs are validated before any stepping happens: a job built from an empty
-// or truncated power trace (non-positive duration or sample interval, nil
-// schedule, wrong state length) fails with a descriptive error instead of
-// panicking inside a worker, and a schedule that panics mid-replay fails
-// only its own job.
-func RunSweep(jobs []SweepJob, workers int) ([][]TracePoint, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	results := make([][]TracePoint, len(jobs))
-	errs := make([]error, len(jobs))
-	valid := make([]int, 0, len(jobs))
-	for j, job := range jobs {
-		if errs[j] = validateSweepJob(job); errs[j] == nil {
-			valid = append(valid, j)
-		}
-	}
-	pool.RunChunked(valid, workers, func(chunk []int) {
-		sweepChunk(jobs, chunk, results, errs)
-	})
-	for j, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("hotspot: sweep job %d: %w", j, err)
-		}
-	}
-	return results, nil
-}
-
-// sweepChunk groups one worker's jobs by (model, window) — first-seen
-// order, jobs in index order — and locksteps each group through the model's
-// solver.
-func sweepChunk(jobs []SweepJob, idx []int, results [][]TracePoint, errs []error) {
-	type key struct {
-		m                     *Model
-		duration, sampleEvery float64
-	}
-	var order []key
-	groups := make(map[key][]int)
-	for _, j := range idx {
-		k := key{jobs[j].Model, jobs[j].Duration, jobs[j].SampleEvery}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], j)
-	}
-	for _, k := range order {
-		g := groups[k]
-		rjobs := make([]rcnet.TraceJob, len(g))
-		for i, j := range g {
-			rjobs[i] = rcnet.TraceJob{
-				Temp:        jobs[j].Temps,
-				Schedule:    k.m.nodeSchedule(jobs[j].Schedule),
-				Duration:    jobs[j].Duration,
-				SampleEvery: jobs[j].SampleEvery,
-			}
-		}
-		samples, serrs := k.m.solver.ReplayLockstep(rjobs)
-		for i, j := range g {
-			if serrs[i] != nil {
-				errs[j] = serrs[i]
-				continue
-			}
-			results[j] = k.m.tracePoints(samples[i])
-		}
-	}
-}
-
-// validateSweepJob checks a sweep job's model, replay window, schedule and
-// state vector before any stepping happens.
-func validateSweepJob(job SweepJob) error {
-	if job.Model == nil {
-		return fmt.Errorf("nil model")
-	}
-	if job.Schedule == nil {
-		return fmt.Errorf("nil power schedule")
-	}
-	if !(job.Duration > 0) {
-		return fmt.Errorf("empty trace: non-positive duration %g", job.Duration)
-	}
-	if !(job.SampleEvery > 0) {
-		return fmt.Errorf("non-positive sample interval %g", job.SampleEvery)
-	}
-	if n := job.Model.net.N(); len(job.Temps) != n {
-		return fmt.Errorf("temperature vector length %d, want %d", len(job.Temps), n)
-	}
-	return nil
 }
 
 // DominantTimeConstant returns the network's slowest thermal time constant

@@ -15,7 +15,7 @@ type TelemetrySink interface {
 // EmitTracePoints streams a replay's sampled block temperatures into sink,
 // one series per block named "<prefix>/<block>" (or just the block name
 // when prefix is empty). Points must all carry len(names) temperatures —
-// the shape RunTrace, RunSweep and ReplayRows produce against the model the
+// the shape ReplayRows and ReplayBatchResults produce against the model the
 // names came from. The first sink error aborts the emit and is returned
 // with the offending series attached.
 func EmitTracePoints(sink TelemetrySink, prefix string, names []string, pts []TracePoint) error {

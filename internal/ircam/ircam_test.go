@@ -7,6 +7,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/hotspot"
 	"repro/internal/sensors"
+	"repro/internal/trace"
 )
 
 func defaultCam() Camera {
@@ -117,20 +118,15 @@ func shortPulseTrace(t *testing.T) ([]hotspot.TracePoint, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := fp.Index("IntReg")
-	state := m.AmbientState()
-	pts, err := m.RunTrace(state, func(tm float64, p []float64) {
-		for i := range p {
-			p[i] = 0
-		}
-		if tm < 3e-3 {
-			p[idx] = 5
-		}
-	}, 20e-3, 0.5e-3)
+	tr, err := trace.PulseTrain(fp.Names(), "IntReg", 5, 3e-3, 17e-3, 0.5e-3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pts, idx
+	pts, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts, fp.Index("IntReg")
 }
 
 func TestSlowCameraMissesTransient(t *testing.T) {

@@ -8,16 +8,15 @@ import (
 
 // Benchmarks for the PR 6 register-blocked kernels: numeric refactorization
 // throughput (the multicore scaling row — run at GOMAXPROCS=1 and >1), the
-// wide solve kernels against repeated narrow invocations, and the float32
-// factor against full precision. scripts/bench.sh runs these into
-// BENCH_solver.json.
+// wide solve kernels against repeated narrow invocations. scripts/bench.sh
+// runs these into BENCH_solver.json.
 
 // benchGrid builds and factors a reference-style 5-point grid operator.
-func benchGrid(b *testing.B, nx, ny int, prec FactorPrecision) (*CSR, *CholeskyOperator) {
+func benchGrid(b *testing.B, nx, ny int) (*CSR, *CholeskyOperator) {
 	b.Helper()
 	n, entries := gridEntries(nx, ny)
 	m := NewCSR(n, entries)
-	op, err := NewCholeskyOperatorPrec(m, 0, prec)
+	op, err := NewCholeskyOperator(m, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func benchGrid(b *testing.B, nx, ny int, prec FactorPrecision) (*CSR, *CholeskyO
 // level schedule plus within-panel splits should scale it with GOMAXPROCS.
 func BenchmarkCholeskyFactorNumeric(b *testing.B) {
 	for _, sz := range []struct{ nx, ny int }{{64, 64}, {128, 128}} {
-		_, op := benchGrid(b, sz.nx, sz.ny, Float64)
+		_, op := benchGrid(b, sz.nx, sz.ny)
 		shift := make([]float64, sz.nx*sz.ny)
 		b.Run(fmt.Sprintf("N=%d", sz.nx*sz.ny), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -48,7 +47,7 @@ func BenchmarkCholeskyFactorNumeric(b *testing.B) {
 func BenchmarkSolveKernelWidths(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	const nx, ny = 128, 128
-	_, op := benchGrid(b, nx, ny, Float64)
+	_, op := benchGrid(b, nx, ny)
 	n := nx * ny
 	const kk = 16
 	bs := make([][]float64, kk)
@@ -67,37 +66,6 @@ func BenchmarkSolveKernelWidths(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < kk; k += width {
 					op.solveChunk(bs[k:k+width], dst[k:k+width], ws)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCholeskySolvePrecision compares warm single-RHS solves through
-// the float64 factor against the float32 factor (half the sweep bandwidth,
-// plus one refinement pass: a residual mat-vec and a second sweep).
-func BenchmarkCholeskySolvePrecision(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	const nx, ny = 256, 256
-	for _, row := range []struct {
-		name string
-		prec FactorPrecision
-	}{{"f64", Float64}, {"f32", Float32}} {
-		_, op := benchGrid(b, nx, ny, row.prec)
-		n := nx * ny
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		dst := make([]float64, n)
-		ws := &Workspace{}
-		if _, err := op.Solve(rhs, nil, dst, ws); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("%s/N=%d", row.name, n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := op.Solve(rhs, nil, dst, ws); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

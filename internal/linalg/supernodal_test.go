@@ -116,7 +116,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 		widths = append(widths, kk)
 	}
 	widths = append(widths, 40, 70)
-	for _, bk := range []Backend{DenseBackend{}, CholeskyBackend{}, CholeskyBackend{Precision: Float32}, SparseBackend{}} {
+	for _, bk := range []Backend{DenseBackend{}, CholeskyBackend{}, SparseBackend{}} {
 		op, err := bk.Assemble(n, entries)
 		if err != nil {
 			t.Fatal(err)
@@ -159,39 +159,36 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 
 // TestSolveBatchAllocationFree: the batched direct solve must not allocate
 // once workspace and destination buffers exist — through the 4-, 8- and
-// 16-wide kernels, the mixed-width tail dispatch, and the float32
-// refinement path.
+// 16-wide kernels and the mixed-width tail dispatch.
 func TestSolveBatchAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const n = 300
 	entries := spdEntries(rng, n)
-	for _, prec := range []FactorPrecision{Float64, Float32} {
-		op, err := (CholeskyBackend{Precision: prec}).Assemble(n, entries)
-		if err != nil {
+	op, err := (CholeskyBackend{}).Assemble(n, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kk := range []int{4, 8, 16, 23} {
+		b := make([][]float64, kk)
+		dst := make([][]float64, kk)
+		for k := range b {
+			b[k] = make([]float64, n)
+			dst[k] = make([]float64, n)
+			for i := range b[k] {
+				b[k][i] = rng.NormFloat64()
+			}
+		}
+		ws := &Workspace{}
+		if _, err := op.SolveBatch(b, nil, dst, ws); err != nil {
 			t.Fatal(err)
 		}
-		for _, kk := range []int{4, 8, 16, 23} {
-			b := make([][]float64, kk)
-			dst := make([][]float64, kk)
-			for k := range b {
-				b[k] = make([]float64, n)
-				dst[k] = make([]float64, n)
-				for i := range b[k] {
-					b[k][i] = rng.NormFloat64()
-				}
-			}
-			ws := &Workspace{}
+		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := op.SolveBatch(b, nil, dst, ws); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := op.SolveBatch(b, nil, dst, ws); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("prec=%d K=%d: batched solve allocates %v times per run, want 0", prec, kk, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Fatalf("K=%d: batched solve allocates %v times per run, want 0", kk, allocs)
 		}
 	}
 }
@@ -217,8 +214,8 @@ func TestParallelFactorBitStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ref.compress(sym, Float64)
-	got, err := factorSupernodal(m, sym, Float64)
+	ref.compress(sym)
+	got, err := factorSupernodal(m, sym)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package pool provides the fixed-size goroutine worker pool shared by the
-// batched thermal-simulation APIs (rcnet.Solver.TransientBatch,
-// hotspot.RunSweep, hotspot.RunReplayBatch, scenario.RunGrid). It exists so
-// the concurrency pattern — worker clamp, job fan-out, per-worker state,
+// batched thermal-simulation APIs (hotspot.ReplayBatchResults,
+// scenario.RunGrid, the service's steady sweeps). It exists so the
+// concurrency pattern — worker clamp, job fan-out, per-worker state,
 // completion barrier — lives in exactly one place; DESIGN.md §1.3 records
 // the concurrency model (immutable shared operators, one solving session
 // per worker) these pools implement.
@@ -14,10 +14,9 @@ import (
 
 // RunChunked deals the given indices round-robin into min(workers, len)
 // chunks — workers ≤ 0 uses GOMAXPROCS — and runs each chunk on the pool.
-// It is the shared front half of every lockstep batch API (rcnet
-// TransientBatch, hotspot sweeps and replay batches, scenario grids): the
-// deal is deterministic, so per-chunk grouping downstream is too, and
-// results never depend on the worker count. Chunk functions must record
+// It is the shared front half of every lockstep batch API (hotspot replay
+// batches, scenario grids): the deal is deterministic, so per-chunk
+// grouping downstream is too, and results never depend on the worker count. Chunk functions must record
 // their own results/errors; RunChunked only guarantees completion.
 func RunChunked(indices []int, workers int, run func(chunk []int)) {
 	if len(indices) == 0 {

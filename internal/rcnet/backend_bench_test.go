@@ -3,7 +3,6 @@ package rcnet
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
@@ -171,42 +170,33 @@ func BenchmarkBackendTransientBE(b *testing.B) {
 	}
 }
 
-// BenchmarkTransientBatch measures trace replay throughput of the batched
-// API at 1 worker vs all cores: 16 independent 100-step replays on a
-// ~1000-node sparse-backed network.
-func BenchmarkTransientBatch(b *testing.B) {
+// BenchmarkBatchSessionReplay measures lockstep replay throughput of one
+// BatchSession: 16 independent states advanced through 100 backward-Euler
+// steps on a 23×23 grid network, one batched solve per step.
+func BenchmarkBatchSessionReplay(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	net := gridNetwork(rng, 23, 23)
 	s, err := net.Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	const jobs = 16
+	const jobs, steps = 16, 100
 	powers := make([][]float64, jobs)
+	temps := make([][]float64, jobs)
 	for j := range powers {
 		powers[j] = randomPower(rng, net.N())
 	}
-	mkJobs := func() []TraceJob {
-		out := make([]TraceJob, jobs)
-		for j := range out {
-			p := powers[j]
-			out[j] = TraceJob{
-				Temp:        s.AmbientVector(),
-				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-				Duration:    0.1,
-				SampleEvery: 1e-3,
+	bs := s.NewBatchSession(jobs)
+	errs := make([]error, jobs)
+	for i := 0; i < b.N; i++ {
+		for j := range temps {
+			temps[j] = s.AmbientVector()
+		}
+		for k := 0; k < steps; k++ {
+			if err := bs.StepBE(temps, powers, 1e-3, errs); err != nil {
+				b.Fatal(err)
 			}
 		}
-		return out
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := s.TransientBatch(mkJobs(), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

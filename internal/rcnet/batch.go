@@ -6,15 +6,13 @@ import (
 	"time"
 
 	"repro/internal/linalg"
-	"repro/internal/pool"
 )
 
 // This file holds the batched stepping layer: a BatchSession advances K
 // independent temperature states through one backward-Euler step with a
-// single factor traversal (linalg.Operator.SolveBatch), and the lockstep
-// replay engine drives K same-window trace jobs through shared steps. This
-// is how TransientBatch (and, one layer up, hotspot sweeps and the scenario
-// grid) stop paying the factor's full memory traffic once per job per step.
+// single factor traversal (linalg.Operator.SolveBatch). It is how the trace
+// replay engine and the scenario grid one layer up (internal/hotspot) stop
+// paying the factor's full memory traffic once per job per step.
 
 // MaxBatchWidth caps how many right-hand sides one lockstep group solves per
 // factor traversal. The packed block costs n·K floats of workspace; with the
@@ -221,213 +219,4 @@ func (bs *BatchSession) StepBE(temps, powers [][]float64, dt float64, errs []err
 	st.directSteps.Add(int64(width))
 	st.absorbKernels(&bs.ws)
 	return nil
-}
-
-// TransientBatch replays N independent power schedules against one compiled
-// network: jobs are split round-robin into per-worker chunks (workers ≤ 0
-// uses GOMAXPROCS), and each worker groups its chunk by replay window and
-// advances every group in lockstep, solving up to MaxBatchWidth right-hand
-// sides per factor traversal. Per-job results are bit-identical at any
-// worker count — the batched solve never changes per-column arithmetic, so
-// chunking and grouping only affect memory traffic. Results are indexed
-// like jobs; malformed jobs are rejected up front with descriptive errors
-// and a panicking schedule fails only its own job. The first job error (by
-// job order) is returned after all jobs finish.
-func (s *Solver) TransientBatch(jobs []TraceJob, workers int) ([][]Sample, error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	results := make([][]Sample, len(jobs))
-	errs := make([]error, len(jobs))
-	valid := make([]int, 0, len(jobs))
-	for j, job := range jobs {
-		if errs[j] = s.validateTraceJob(job); errs[j] == nil {
-			valid = append(valid, j)
-		}
-	}
-	pool.RunChunked(valid, workers, func(chunk []int) {
-		s.replayChunk(jobs, chunk, results, errs)
-	})
-	for j, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("rcnet: batch job %d: %w", j, err)
-		}
-	}
-	return results, nil
-}
-
-// replayChunk groups one worker's jobs by replay window (jobs sharing a
-// window share a step sequence) and locksteps each group, splitting past
-// MaxBatchWidth. Group composition is deterministic: windows appear in
-// first-seen order of the chunk, jobs stay in index order.
-func (s *Solver) replayChunk(jobs []TraceJob, idx []int, results [][]Sample, errs []error) {
-	type window struct{ duration, sampleEvery float64 }
-	var order []window
-	groups := make(map[window][]int)
-	for _, j := range idx {
-		w := window{jobs[j].Duration, jobs[j].SampleEvery}
-		if _, ok := groups[w]; !ok {
-			order = append(order, w)
-		}
-		groups[w] = append(groups[w], j)
-	}
-	for _, w := range order {
-		g := groups[w]
-		for off := 0; off < len(g); off += MaxBatchWidth {
-			end := off + MaxBatchWidth
-			if end > len(g) {
-				end = len(g)
-			}
-			s.runLockstep(jobs, g[off:end], results, errs)
-		}
-	}
-}
-
-// ReplayLockstep replays same-window trace jobs in lockstep on the calling
-// goroutine: all jobs must share Duration and SampleEvery (that is what
-// makes their step sequences identical), and each step solves every live
-// job's right-hand side in one factor traversal. Results and errors are
-// indexed like jobs; a job that fails (schedule panic, solve stall) drops
-// out of the batch while the rest keep stepping. Per-job results are
-// bit-identical to TransientTrace. Groups wider than MaxBatchWidth are
-// split internally.
-func (s *Solver) ReplayLockstep(jobs []TraceJob) ([][]Sample, []error) {
-	results := make([][]Sample, len(jobs))
-	errs := make([]error, len(jobs))
-	if len(jobs) == 0 {
-		return results, errs
-	}
-	idx := make([]int, 0, len(jobs))
-	for j, job := range jobs {
-		if errs[j] = s.validateTraceJob(job); errs[j] == nil {
-			idx = append(idx, j)
-		}
-	}
-	for j := 1; j < len(idx); j++ {
-		a, b := jobs[idx[0]], jobs[idx[j]]
-		if a.Duration != b.Duration || a.SampleEvery != b.SampleEvery {
-			errs[idx[j]] = fmt.Errorf("lockstep window mismatch: job has duration=%g sample=%g, group runs duration=%g sample=%g",
-				b.Duration, b.SampleEvery, a.Duration, a.SampleEvery)
-		}
-	}
-	live := idx[:0]
-	for _, j := range idx {
-		if errs[j] == nil {
-			live = append(live, j)
-		}
-	}
-	for off := 0; off < len(live); off += MaxBatchWidth {
-		end := off + MaxBatchWidth
-		if end > len(live) {
-			end = len(live)
-		}
-		s.runLockstep(jobs, live[off:end], results, errs)
-	}
-	return results, errs
-}
-
-// stepCount replays the stepping loop's arithmetic to size the recording
-// buffers: the number of backward-Euler steps a (duration, sampleEvery)
-// window takes, final shortened step included.
-func stepCount(duration, sampleEvery float64) int {
-	steps := 0
-	t := 0.0
-	for t < duration-1e-12*duration {
-		step := sampleEvery
-		if step > duration-t {
-			step = duration - t
-		}
-		t += step
-		steps++
-	}
-	return steps
-}
-
-// runLockstep advances one ≤MaxBatchWidth group of validated same-window
-// jobs. Sample storage is flat-allocated per job (one backing array holds
-// every sample vector), so recording performs no per-step allocation.
-func (s *Solver) runLockstep(jobs []TraceJob, idx []int, results [][]Sample, errs []error) {
-	n := s.net.N()
-	kk := len(idx)
-	duration := jobs[idx[0]].Duration
-	sampleEvery := jobs[idx[0]].SampleEvery
-	steps := stepCount(duration, sampleEvery)
-
-	bs := s.NewBatchSession(kk)
-	temps := make([][]float64, kk)
-	powers := make([][]float64, kk)
-	serrs := make([]error, kk)
-	flats := make([][]float64, kk)
-	for k, j := range idx {
-		temps[k] = jobs[j].Temp
-		powers[k] = make([]float64, n)
-		flats[k] = make([]float64, (steps+1)*n)
-		results[j] = make([]Sample, 0, steps+1)
-	}
-	record := func(k, j int, t float64) {
-		i := len(results[j])
-		cp := flats[k][i*n : (i+1)*n]
-		copy(cp, temps[k])
-		results[j] = append(results[j], Sample{Time: t, Temp: cp})
-	}
-	fail := func(k, j int, err error) {
-		errs[j] = err
-		results[j] = nil
-		temps[k] = nil
-	}
-	for k, j := range idx {
-		record(k, j, 0)
-	}
-	// schedule fills one job's power for the interval at t; a panicking
-	// schedule (e.g. one indexing an empty trace) fails its own job only.
-	schedule := func(k, j int, t float64) {
-		defer func() {
-			if r := recover(); r != nil {
-				fail(k, j, fmt.Errorf("job panicked: %v", r))
-			}
-		}()
-		jobs[j].Schedule(t, powers[k])
-	}
-	t := 0.0
-	for t < duration-1e-12*duration {
-		step := sampleEvery
-		if step > duration-t {
-			step = duration - t
-		}
-		live := 0
-		for k, j := range idx {
-			if temps[k] == nil {
-				continue
-			}
-			schedule(k, j, t)
-			if temps[k] != nil {
-				live++
-			}
-		}
-		if live == 0 {
-			return
-		}
-		if err := bs.StepBE(temps, powers, step, serrs); err != nil {
-			// Batch-level failure (operator factorization): every live job
-			// fails the same way a serial step would have.
-			for k, j := range idx {
-				if temps[k] != nil {
-					fail(k, j, err)
-				}
-			}
-			return
-		}
-		t += step
-		for k, j := range idx {
-			if temps[k] == nil {
-				continue
-			}
-			if serrs[k] != nil {
-				fail(k, j, serrs[k])
-				serrs[k] = nil
-				continue
-			}
-			record(k, j, t)
-		}
-	}
 }

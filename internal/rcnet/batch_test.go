@@ -2,14 +2,12 @@ package rcnet
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
 // Tests for the batched stepping layer: bit-identical parity between the
-// batched and per-session paths on every backend, lockstep replay parity at
-// any worker count, the batch-width statistics, and the zero-allocation gate
-// on the batched hot path.
+// batched and per-session paths on every backend, the batch-width
+// statistics, and the zero-allocation gate on the batched hot path.
 
 // TestBatchSessionMatchesSessions: K states stepped through one BatchSession
 // must be bit-identical to the same K states stepped through K independent
@@ -91,102 +89,6 @@ func TestBatchSessionSkipsNilSlots(t *testing.T) {
 	}
 }
 
-// TestTransientBatchLockstepParity: the lockstep TransientBatch must produce
-// bit-identical samples to sequential TransientTrace for every job, at any
-// worker count, with mixed replay windows in one batch.
-func TestTransientBatchLockstepParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	net := gridNetwork(rng, 6, 5)
-	s, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const jobs = 11
-	powers := make([][]float64, jobs)
-	for j := range powers {
-		powers[j] = randomPower(rng, net.N())
-	}
-	windows := []struct{ dur, se float64 }{{0.02, 1e-3}, {0.01, 5e-4}}
-	mk := func() []TraceJob {
-		out := make([]TraceJob, jobs)
-		for j := range out {
-			w := windows[j%len(windows)]
-			p := powers[j]
-			out[j] = TraceJob{
-				Temp:        s.AmbientVector(),
-				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-				Duration:    w.dur,
-				SampleEvery: w.se,
-			}
-		}
-		return out
-	}
-	ref := make([][]Sample, jobs)
-	for j, job := range mk() {
-		samples, err := s.TransientTrace(job.Temp, job.Schedule, job.Duration, job.SampleEvery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref[j] = samples
-	}
-	for _, workers := range []int{1, 2, 4, jobs} {
-		got, err := s.TransientBatch(mk(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range ref {
-			if len(got[j]) != len(ref[j]) {
-				t.Fatalf("workers=%d job %d: %d samples vs %d", workers, j, len(got[j]), len(ref[j]))
-			}
-			for i := range ref[j] {
-				if got[j][i].Time != ref[j][i].Time {
-					t.Fatalf("workers=%d job %d sample %d: time %v vs %v", workers, j, i, got[j][i].Time, ref[j][i].Time)
-				}
-				for nn := range ref[j][i].Temp {
-					if got[j][i].Temp[nn] != ref[j][i].Temp[nn] {
-						t.Fatalf("workers=%d job %d sample %d node %d: %v vs %v",
-							workers, j, i, nn, got[j][i].Temp[nn], ref[j][i].Temp[nn])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTransientBatchPanicIsolation: a schedule that panics mid-replay fails
-// only its own job even when lockstepped with healthy jobs in one group.
-func TestTransientBatchPanicIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	net := gridNetwork(rng, 4, 4)
-	s, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomPower(rng, net.N())
-	jobs := []TraceJob{
-		{Temp: s.AmbientVector(), Schedule: func(_ float64, dst []float64) { copy(dst, p) }, Duration: 0.01, SampleEvery: 1e-3},
-		{Temp: s.AmbientVector(), Schedule: func(tm float64, dst []float64) {
-			if tm > 4e-3 {
-				panic("boom")
-			}
-			copy(dst, p)
-		}, Duration: 0.01, SampleEvery: 1e-3},
-		{Temp: s.AmbientVector(), Schedule: func(_ float64, dst []float64) { copy(dst, p) }, Duration: 0.01, SampleEvery: 1e-3},
-	}
-	results, err := s.TransientBatch(jobs, 1)
-	if err == nil || !strings.Contains(err.Error(), "job 1") || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("expected job 1 panic error, got %v", err)
-	}
-	if results[1] != nil {
-		t.Fatal("panicked job kept results")
-	}
-	for _, j := range []int{0, 2} {
-		if len(results[j]) != 11 {
-			t.Fatalf("healthy job %d: %d samples, want 11", j, len(results[j]))
-		}
-	}
-}
-
 // TestBatchWidthHistogram: batched steps must land in the width histogram
 // bucket matching the group width.
 func TestBatchWidthHistogram(t *testing.T) {
@@ -197,18 +99,18 @@ func TestBatchWidthHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 	const jobs, steps = 6, 10
-	tj := make([]TraceJob, jobs)
-	for j := range tj {
-		p := randomPower(rng, net.N())
-		tj[j] = TraceJob{
-			Temp:        s.AmbientVector(),
-			Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-			Duration:    float64(steps) * 1e-3,
-			SampleEvery: 1e-3,
-		}
+	temps := make([][]float64, jobs)
+	powers := make([][]float64, jobs)
+	for j := range temps {
+		temps[j] = s.AmbientVector()
+		powers[j] = randomPower(rng, net.N())
 	}
-	if _, err := s.TransientBatch(tj, 1); err != nil {
-		t.Fatal(err)
+	bs := s.NewBatchSession(jobs)
+	errs := make([]error, jobs)
+	for i := 0; i < steps; i++ {
+		if err := bs.StepBE(temps, powers, 1e-3, errs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()
 	if st.BatchWidths["5-8"] != steps {
@@ -263,32 +165,5 @@ func TestBatchStepAllocationFree(t *testing.T) {
 				t.Fatalf("%v batched StepBE allocates %v times per step, want 0", hint, allocs)
 			}
 		})
-	}
-}
-
-// TestReplayLockstepWindowMismatch: jobs that do not share the group's
-// replay window are rejected individually.
-func TestReplayLockstepWindowMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	net := gridNetwork(rng, 4, 4)
-	s, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomPower(rng, net.N())
-	sched := func(_ float64, dst []float64) { copy(dst, p) }
-	jobs := []TraceJob{
-		{Temp: s.AmbientVector(), Schedule: sched, Duration: 0.01, SampleEvery: 1e-3},
-		{Temp: s.AmbientVector(), Schedule: sched, Duration: 0.02, SampleEvery: 1e-3},
-	}
-	results, errs := s.ReplayLockstep(jobs)
-	if errs[0] != nil {
-		t.Fatalf("anchor job failed: %v", errs[0])
-	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "window mismatch") {
-		t.Fatalf("mismatched job error: %v", errs[1])
-	}
-	if results[1] != nil {
-		t.Fatal("mismatched job has results")
 	}
 }

@@ -288,54 +288,6 @@ func TestCholeskySteadyBitStable(t *testing.T) {
 	}
 }
 
-// TestCholeskyF32ParityAndStats: the reduced-precision hint must compile
-// onto the single-precision direct backend, track the full-precision solver
-// through a multi-leg transient to well inside the golden drift gate, and
-// report its refinement traffic (two kernel invocations per solve) in the
-// kernel-width counters.
-func TestCholeskyF32ParityAndStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	net := gridNetwork(rng, 7, 6)
-	s64, err := net.CompileHint(HintCholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s32, err := net.CompileHint(HintCholeskyF32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s32.Backend() != "cholesky-f32" {
-		t.Fatalf("compiled onto %q, want cholesky-f32", s32.Backend())
-	}
-	p := randomPower(rng, net.N())
-	t64 := s64.AmbientVector()
-	t32 := s32.AmbientVector()
-	const steps = 40
-	for _, run := range []struct {
-		s    *Solver
-		temp []float64
-	}{{s64, t64}, {s32, t32}} {
-		if err := run.s.TransientBE(run.temp, p, steps*1e-3, 1e-3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range t64 {
-		rise := math.Max(1, t64[i]-net.Ambient())
-		if d := math.Abs(t64[i] - t32[i]); d > 1e-9*rise {
-			t.Fatalf("node %d: f64 %.15g vs f32+refine %.15g (Δ=%g)", i, t64[i], t32[i], d)
-		}
-	}
-	// Every single-RHS step runs the 1-wide kernel once on the f64 solver
-	// and twice on the f32 solver (solve + refinement pass).
-	st64, st32 := s64.Stats(), s32.Stats()
-	if st64.KernelSolves["1"] != steps {
-		t.Fatalf("f64 kernel counters: %v, want %d×\"1\"", st64.KernelSolves, steps)
-	}
-	if st32.KernelSolves["1"] != 2*steps {
-		t.Fatalf("f32 kernel counters: %v, want %d×\"1\"", st32.KernelSolves, 2*steps)
-	}
-}
-
 // expanderNetwork builds a random-graph network whose factor fill is huge
 // under any bandwidth ordering (each node ties to several random earlier
 // nodes, so the graph has no useful separator structure).

@@ -122,30 +122,25 @@ func TestBackendParityTrace(t *testing.T) {
 	dense, sparse := compileBoth(t, net)
 	p1 := randomPower(rng, net.N())
 	p2 := randomPower(rng, net.N())
-	schedule := func(tm float64, p []float64) {
-		src := p1
-		if tm >= 0.25 {
-			src = p2
-		}
-		copy(p, src)
-	}
+	// Ten 50 ms steps, switching power maps halfway, each backend stepped
+	// through its own session.
 	td := dense.AmbientVector()
 	ts := sparse.AmbientVector()
-	sd, err := dense.TransientTrace(td, schedule, 0.5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := sparse.TransientTrace(ts, schedule, 0.5, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sd) != len(ss) {
-		t.Fatalf("sample counts differ: %d vs %d", len(sd), len(ss))
-	}
-	for k := range sd {
-		for i := range sd[k].Temp {
-			if d := math.Abs(sd[k].Temp[i] - ss[k].Temp[i]); d > 1e-5 {
-				t.Fatalf("sample %d node %d: dense %.12g vs sparse %.12g", k, i, sd[k].Temp[i], ss[k].Temp[i])
+	sd, ss := dense.NewSession(), sparse.NewSession()
+	for k := 1; k <= 10; k++ {
+		p := p1
+		if k > 5 {
+			p = p2
+		}
+		if err := sd.StepBE(td, p, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.StepBE(ts, p, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		for i := range td {
+			if d := math.Abs(td[i] - ts[i]); d > 1e-5 {
+				t.Fatalf("step %d node %d: dense %.12g vs sparse %.12g", k, i, td[i], ts[i])
 			}
 		}
 	}
@@ -212,104 +207,5 @@ func TestFloatingIslandRejectedBothBackends(t *testing.T) {
 		if _, err := n.CompileWith(backend); err == nil {
 			t.Fatalf("%s: expected floating-island error", backend.Name())
 		}
-	}
-}
-
-// TestTransientBatchMatchesSerial: the worker-pool batch must produce
-// bit-for-bit the same samples as serial replays of the same jobs, on both
-// the auto-selected (Cholesky) path and the CG path.
-func TestTransientBatchMatchesSerial(t *testing.T) {
-	for _, hint := range []SolverHint{HintAuto, HintCG} {
-		t.Run(hint.String(), func(t *testing.T) { testTransientBatchMatchesSerial(t, hint) })
-	}
-}
-
-func testTransientBatchMatchesSerial(t *testing.T, hint SolverHint) {
-	rng := rand.New(rand.NewSource(9))
-	net := gridNetwork(rng, 6, 6)
-	s, err := net.CompileHint(hint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want72 := "cholesky"
-	if hint == HintCG {
-		want72 = "sparse"
-	}
-	if s.Backend() != want72 {
-		t.Fatalf("hint %v: compiled onto %q, want %q", hint, s.Backend(), want72)
-	}
-	const jobs = 6
-	powers := make([][]float64, jobs)
-	for j := range powers {
-		powers[j] = randomPower(rng, net.N())
-	}
-	mkJobs := func() []TraceJob {
-		out := make([]TraceJob, jobs)
-		for j := range out {
-			p := powers[j]
-			out[j] = TraceJob{
-				Temp:        s.AmbientVector(),
-				Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-				Duration:    0.3,
-				SampleEvery: 0.03,
-			}
-		}
-		return out
-	}
-	serial := mkJobs()
-	want := make([][]Sample, jobs)
-	for j := range serial {
-		w, err := s.TransientTrace(serial[j].Temp, serial[j].Schedule, serial[j].Duration, serial[j].SampleEvery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[j] = w
-	}
-	got, err := s.TransientBatch(mkJobs(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if len(got[j]) != len(want[j]) {
-			t.Fatalf("job %d: %d samples vs %d", j, len(got[j]), len(want[j]))
-		}
-		for k := range want[j] {
-			for i := range want[j][k].Temp {
-				if got[j][k].Temp[i] != want[j][k].Temp[i] {
-					t.Fatalf("job %d sample %d node %d: batch %.17g vs serial %.17g",
-						j, k, i, got[j][k].Temp[i], want[j][k].Temp[i])
-				}
-			}
-		}
-	}
-}
-
-// TestTransientBatchReportsJobError: a bad job must surface its error with
-// the job index while the good jobs still complete.
-func TestTransientBatchReportsJobError(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := gridNetwork(rng, 3, 3)
-	s, err := net.CompileWith(linalg.SparseBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomPower(rng, net.N())
-	good := TraceJob{
-		Temp:        s.AmbientVector(),
-		Schedule:    func(_ float64, dst []float64) { copy(dst, p) },
-		Duration:    0.1,
-		SampleEvery: 0.02,
-	}
-	bad := good
-	bad.Temp = make([]float64, 1) // wrong length
-	res, err := s.TransientBatch([]TraceJob{good, bad}, 2)
-	if err == nil {
-		t.Fatal("expected an error from the malformed job")
-	}
-	if res[0] == nil {
-		t.Fatal("good job should still have produced samples")
-	}
-	if res[1] != nil {
-		t.Fatal("bad job should have no samples")
 	}
 }

@@ -170,11 +170,6 @@ const (
 	HintCholesky
 	// HintCG forces the Jacobi-preconditioned conjugate-gradient backend.
 	HintCG
-	// HintCholeskyF32 forces sparse direct LDLᵀ with the factor stored in
-	// float32 plus one step of iterative refinement per solve: half the
-	// factor memory traffic, accuracy restored to well inside the golden
-	// drift gate (DESIGN.md §9.4). Non-SPD systems fail Compile.
-	HintCholeskyF32
 	// HintReduced compiles onto the reduced-order (Krylov-projected) backend
 	// with default ReducedSpec settings: block-Arnoldi moment matching, dense
 	// pre-factored backward-Euler steps, automatic fallback to the full
@@ -192,8 +187,6 @@ func (h SolverHint) String() string {
 		return "cholesky"
 	case HintCG:
 		return "cg"
-	case HintCholeskyF32:
-		return "cholesky-f32"
 	case HintReduced:
 		return "reduced"
 	default:
@@ -211,9 +204,9 @@ func (h SolverHint) String() string {
 // from any number of goroutines (per-call scratch comes from an internal
 // pool). The fixed-dt stepping methods (StepBE, TransientBE) share one
 // per-solver session and must not be called concurrently; concurrent
-// stepping goes through per-goroutine Sessions (NewSession) or the replay
-// entry points (TransientTrace, TransientBatch), which keep all mutable
-// state per call.
+// stepping goes through per-goroutine Sessions (NewSession) or
+// BatchSessions (NewBatchSession), which keep all mutable state per
+// session.
 type Solver struct {
 	net     *Network
 	backend linalg.Backend
@@ -458,8 +451,6 @@ func (n *Network) CompileHint(hint SolverHint) (*Solver, error) {
 		return n.CompileWith(linalg.CholeskyBackend{})
 	case HintCG:
 		return n.CompileWith(linalg.SparseBackend{})
-	case HintCholeskyF32:
-		return n.CompileWith(linalg.CholeskyBackend{Precision: linalg.Float32})
 	case HintReduced:
 		return n.CompileReduced(ReducedSpec{})
 	}
@@ -799,16 +790,10 @@ func (s *Solver) TransientBE(temp, power []float64, duration, dt float64) error 
 	return nil
 }
 
-// Sample is one point of a recorded transient trace.
-type Sample struct {
-	Time float64
-	Temp []float64 // copy of all node temperatures, K
-}
-
 // session is an independent backward-Euler stepping context: its own solve
 // workspace and scratch buffers, plus a reference to the solver-cached
-// backward-Euler operator for its current step size. Concurrent trace
-// replays on one Solver each get a session, so the mutable state they share
+// backward-Euler operator for its current step size. Concurrent steppers
+// on one Solver each get a session, so the mutable state they share
 // is limited to the solver's factor cache and atomic counters.
 type session struct {
 	s        *Solver
@@ -924,80 +909,6 @@ func (ss *session) stepBE(temp, power []float64, dt float64) error {
 	}
 	st.directSteps.Add(1)
 	st.absorbKernels(&ss.ws)
-	return nil
-}
-
-// TransientTrace integrates for duration under a time-varying power schedule
-// and records the state every sampleEvery seconds (plus the final state).
-// The schedule callback fills power for the interval beginning at time t; it
-// is invoked once per sample interval, so sampleEvery is also the power
-// update granularity (exactly how trace-driven HotSpot simulation works).
-//
-// All mutable solver state lives in a per-call session, so TransientTrace
-// may be called concurrently from multiple goroutines on one Solver (each
-// call with its own temp vector and schedule).
-func (s *Solver) TransientTrace(temp []float64, schedule func(t float64, power []float64), duration, sampleEvery float64) ([]Sample, error) {
-	return s.transientTrace(s.newSession(), temp, schedule, duration, sampleEvery)
-}
-
-// transientTrace is TransientTrace against a caller-owned session, so batch
-// workers can reuse one session (and its cached BE operator) across jobs.
-func (s *Solver) transientTrace(ses *session, temp []float64, schedule func(t float64, power []float64), duration, sampleEvery float64) ([]Sample, error) {
-	if len(temp) != s.net.N() {
-		return nil, fmt.Errorf("rcnet: temperature vector length %d, want %d", len(temp), s.net.N())
-	}
-	if sampleEvery <= 0 || duration <= 0 {
-		return nil, fmt.Errorf("rcnet: invalid trace parameters duration=%g sample=%g", duration, sampleEvery)
-	}
-	power := make([]float64, s.net.N())
-	var out []Sample
-	record := func(t float64) {
-		cp := make([]float64, len(temp))
-		copy(cp, temp)
-		out = append(out, Sample{Time: t, Temp: cp})
-	}
-	record(0)
-	t := 0.0
-	for t < duration-1e-12*duration {
-		step := sampleEvery
-		if step > duration-t {
-			step = duration - t
-		}
-		schedule(t, power)
-		if err := ses.stepBE(temp, power, step); err != nil {
-			return nil, err
-		}
-		t += step
-		record(t)
-	}
-	return out, nil
-}
-
-// TraceJob describes one independent trace replay for TransientBatch: an
-// initial temperature state (advanced in place), a power schedule, and the
-// replay window. Schedule follows the TransientTrace contract.
-type TraceJob struct {
-	Temp        []float64
-	Schedule    func(t float64, power []float64)
-	Duration    float64
-	SampleEvery float64
-}
-
-// validateTraceJob checks a TraceJob's replay window, schedule and state
-// vector before any stepping happens.
-func (s *Solver) validateTraceJob(job TraceJob) error {
-	if job.Schedule == nil {
-		return fmt.Errorf("nil power schedule")
-	}
-	if !(job.Duration > 0) {
-		return fmt.Errorf("empty trace: non-positive duration %g", job.Duration)
-	}
-	if !(job.SampleEvery > 0) {
-		return fmt.Errorf("non-positive sample interval %g", job.SampleEvery)
-	}
-	if len(job.Temp) != s.net.N() {
-		return fmt.Errorf("temperature vector length %d, want %d", len(job.Temp), s.net.N())
-	}
 	return nil
 }
 

@@ -172,34 +172,6 @@ func TestDominantTimeConstantLadder(t *testing.T) {
 	}
 }
 
-func TestTransientTraceRecordsSamples(t *testing.T) {
-	n, i := singleRC(300, 1, 1)
-	s, _ := n.Compile()
-	temp := s.AmbientVector()
-	// Pulse train: on for the first half, off after.
-	samples, err := s.TransientTrace(temp, func(tm float64, p []float64) {
-		if tm < 0.5 {
-			p[i] = 4
-		} else {
-			p[i] = 0
-		}
-	}, 1.0, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 21 {
-		t.Fatalf("got %d samples, want 21", len(samples))
-	}
-	if samples[0].Time != 0 || math.Abs(samples[20].Time-1.0) > 1e-12 {
-		t.Fatalf("sample times wrong: %g .. %g", samples[0].Time, samples[20].Time)
-	}
-	// Peak at the power-off point, then decay.
-	peak := samples[10].Temp[i]
-	if peak <= samples[5].Temp[i] || samples[20].Temp[i] >= peak {
-		t.Fatal("pulse response shape wrong")
-	}
-}
-
 func TestConnectAccumulates(t *testing.T) {
 	// Two parallel 2 K/W resistances = 1 K/W.
 	n := New(300)

@@ -190,9 +190,15 @@ func TestTwoTenantOverload(t *testing.T) {
 
 	// Release the slots and ride out the drain with a second light wave
 	// (bounded concurrency so the light tenant never trips the global queue
-	// bound: ≤4 light waiting + ≤4 heavy queued ≤ QueueDepth).
+	// bound: ≤4 light waiting + ≤4 heavy queued ≤ QueueDepth). The global
+	// bound is shared first come, first served, so the second wave starts
+	// only once the first has left the queue; otherwise 4 + 4 light plus 4
+	// heavy waiters could meet the bound of 8.
 	hold()
 	released = true
+	waitCond(t, "first light wave granted", func() bool {
+		return srv.admission.Stats().Tenants["light"].Queued == 0
+	})
 	wg.Add(4)
 	for i := 0; i < 4; i++ {
 		go func() {

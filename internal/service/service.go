@@ -657,7 +657,7 @@ func transientResponse(m *hotspot.Model, pts []hotspot.TracePoint, maxPoints int
 
 // handleSweep runs batched scenarios: steady power maps solve across the
 // request's worker budget, trace scenarios fan out through
-// hotspot.RunReplayBatch (the same internal/pool path the experiment sweeps
+// hotspot.ReplayBatchResults (the same replay engine the experiment figures
 // use).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRequest("sweep")

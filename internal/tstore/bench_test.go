@@ -13,7 +13,7 @@ import (
 // telemetry appended row-by-row across 16 series through the public Append
 // path (staging, codec, segment writes and rollup folds all included). The
 // rows/s metric is the acceptance criterion — the store must sustain ≥1M
-// rows/s on one core to keep up with RunSweep.
+// rows/s on one core to keep up with batched trace replay.
 func BenchmarkTstoreIngest(b *testing.B) {
 	const seriesN = 16
 	const rowsPerOp = 1 << 17 // 128Ki rows per iteration, spread over the series
@@ -43,7 +43,7 @@ func BenchmarkTstoreIngest(b *testing.B) {
 	b.ReportMetric(float64(rowsPerOp)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-// BenchmarkTstoreIngestSweep measures the full RunSweep→sink path the
+// BenchmarkTstoreIngestSweep measures the full batched-replay→sink path the
 // service uses: replay points from a real EV6 trace sweep are emitted
 // through EmitTracePoints into the store. The replay itself runs outside
 // the timer; the number is the emit+ingest cost alone.
@@ -61,14 +61,9 @@ func BenchmarkTstoreIngestSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts, err := hotspot.RunSweep([]hotspot.SweepJob{{Model: model, TraceJob: hotspot.TraceJob{
-		Temps:       model.AmbientState(),
-		Schedule:    func(tm float64, p []float64) { copy(p, tr.At(tm)) },
-		Duration:    tr.Duration(),
-		SampleEvery: tr.Interval,
-	}}}, 1)
-	if err != nil {
-		b.Fatal(err)
+	pts, errs := hotspot.ReplayBatchResults([]hotspot.ReplayJob{{Model: model, Rows: tr.Reader()}}, 1)
+	if errs[0] != nil {
+		b.Fatal(errs[0])
 	}
 	rows := len(pts[0]) * fp.N()
 	st, err := Open(b.TempDir(), Options{})

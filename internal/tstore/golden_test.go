@@ -108,7 +108,7 @@ func TestScenarioPersistedMatchesBuffered(t *testing.T) {
 	assertPersistedMatchesBuffered(t, st2, "golden", sink.buf)
 }
 
-// TestSweepPersistedMatchesBuffered is the RunSweep flavor of the golden
+// TestSweepPersistedMatchesBuffered is the batched-replay flavor of the golden
 // gate: a trace-replay sweep emitted through EmitTracePoints reads back bit
 // for bit.
 func TestSweepPersistedMatchesBuffered(t *testing.T) {
@@ -125,15 +125,9 @@ func TestSweepPersistedMatchesBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := []hotspot.SweepJob{{Model: model, TraceJob: hotspot.TraceJob{
-		Temps:       model.AmbientState(),
-		Schedule:    func(tm float64, p []float64) { copy(p, tr.At(tm)) },
-		Duration:    tr.Duration(),
-		SampleEvery: tr.Interval,
-	}}}
-	pts, err := hotspot.RunSweep(jobs, 1)
-	if err != nil {
-		t.Fatal(err)
+	pts, errs := hotspot.ReplayBatchResults([]hotspot.ReplayJob{{Model: model, Rows: tr.Reader()}}, 1)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	st := mustOpen(t, t.TempDir(), Options{FlushRows: 32})
 	sink := &teeSink{w: NewWriter(st, "sweep")}

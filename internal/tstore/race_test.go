@@ -11,7 +11,7 @@ import (
 )
 
 // TestConcurrentSweepWritersAndReaders is the race/stress battery: several
-// goroutines run real hotspot.RunSweep replays and stream the results into
+// goroutines run real hotspot.ReplayBatchResults replays and stream the results into
 // one store through the telemetry sink, while readers hammer raw and
 // downsampled queries, listings and stats, and a flusher forces segment
 // churn. Run under -race this exercises the store-level series map, the
@@ -31,15 +31,6 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := func() hotspot.SweepJob {
-		return hotspot.SweepJob{Model: model, TraceJob: hotspot.TraceJob{
-			Temps:       model.AmbientState(),
-			Schedule:    func(tm float64, p []float64) { copy(p, tr.At(tm)) },
-			Duration:    tr.Duration(),
-			SampleEvery: tr.Interval,
-		}}
-	}
-
 	st := mustOpen(t, t.TempDir(), Options{FlushRows: 128, Granularities: []int64{1_000_000}})
 	names := fp.Names()
 
@@ -55,9 +46,9 @@ func TestConcurrentSweepWritersAndReaders(t *testing.T) {
 		go func() {
 			defer writeWG.Done()
 			for it := 0; it < iters; it++ {
-				pts, err := hotspot.RunSweep([]hotspot.SweepJob{job()}, 1)
-				if err != nil {
-					errs <- err
+				pts, jerrs := hotspot.ReplayBatchResults([]hotspot.ReplayJob{{Model: model, Rows: tr.Reader()}}, 1)
+				if jerrs[0] != nil {
+					errs <- jerrs[0]
 					return
 				}
 				refs[w][it] = pts[0]

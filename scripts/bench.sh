@@ -5,7 +5,7 @@
 # the reduced-order step and streaming-session rows, the rcnet backend
 # matrix with the N=16384/N=65536 reference-grid rows and the reduced
 # streaming row, the linalg kernel benchmarks: numeric refactorization,
-# solve-kernel widths, f32-vs-f64 factors, and the tstore telemetry-store
+# solve-kernel widths, and the tstore telemetry-store
 # group: ingest rows/s — gated at ≥1M rows/s on one core — plus rollup and
 # raw query latency, and the fleet routing group: bounded-load ring
 # lookups, proxy wire overhead against no-op backends, and the failover
@@ -64,7 +64,7 @@ for procs in $BENCH_PROCS; do
     -benchmem -benchtime "$RCNET_BENCHTIME" ./internal/rcnet | tee -a "$tmp"
 
   echo "== linalg kernel benchmarks (-benchtime $KERNEL_BENCHTIME)"
-  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkCholeskyFactorNumeric|BenchmarkSolveKernelWidths|BenchmarkCholeskySolvePrecision' \
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkCholeskyFactorNumeric|BenchmarkSolveKernelWidths' \
     -benchmem -benchtime "$KERNEL_BENCHTIME" ./internal/linalg | tee -a "$tmp"
 
   echo "== tstore telemetry store benchmarks (-benchtime $TSTORE_BENCHTIME)"
