@@ -2,6 +2,7 @@ package hotspot
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -60,19 +61,10 @@ func samePoints(t *testing.T, what string, got, want []TracePoint) {
 	}
 }
 
-// TestReplayBatchMatchesSessionReplay: batches mixing three models, several
-// same-model jobs and traces of different lengths (shorter ones drop out
-// of their lockstep group at EOF) must match per-job Session.ReplayRows
-// bitwise at every worker count, including GOMAXPROCS (workers = 0). A
-// same-model batch wider than rcnet.MaxBatchWidth splits into several
-// groups with the same per-job results.
-func TestReplayBatchMatchesSessionReplay(t *testing.T) {
-	oil, air := lockstepModels(t)
-	oil2 := oilModel(t, floorplan.EV6(), Uniform, 1.0, false)
-	long := pulse(t, "IntReg")
-	short := &trace.PowerTrace{Names: long.Names, Interval: long.Interval, Rows: pulse(t, "FPMap").Rows[:5]}
-	models := []*Model{oil, oil, air, oil2, oil, air}
-	srcs := []*trace.PowerTrace{long, short, long, pulse(t, "Dcache"), long, short}
+// sessionReplays replays every job alone through Session.ReplayRows: the
+// per-job reference the batched replay must reproduce.
+func sessionReplays(t *testing.T, models []*Model, srcs []*trace.PowerTrace) [][]TracePoint {
+	t.Helper()
 	ref := make([][]TracePoint, len(models))
 	for j, m := range models {
 		pts, err := m.NewSession().ReplayRows(m.AmbientState(), srcs[j].Reader())
@@ -81,7 +73,14 @@ func TestReplayBatchMatchesSessionReplay(t *testing.T) {
 		}
 		ref[j] = pts
 	}
-	for _, workers := range []int{1, 2, 5, 0} {
+	return ref
+}
+
+// batchMatchesSessions replays models[j] over srcs[j] in one batch at each
+// worker count and fails unless every job matches ref[j] bitwise.
+func batchMatchesSessions(t *testing.T, models []*Model, srcs []*trace.PowerTrace, ref [][]TracePoint, workerCounts ...int) {
+	t.Helper()
+	for _, workers := range workerCounts {
 		jobs := make([]ReplayJob, len(models))
 		for j, m := range models {
 			jobs[j] = ReplayJob{Model: m, Rows: srcs[j].Reader()}
@@ -94,18 +93,109 @@ func TestReplayBatchMatchesSessionReplay(t *testing.T) {
 			samePoints(t, fmt.Sprintf("workers=%d job %d", workers, j), got[j], ref[j])
 		}
 	}
+}
 
-	wide := make([]ReplayJob, rcnet.MaxBatchWidth+6)
-	for j := range wide {
-		wide[j] = ReplayJob{Model: air, Rows: short.Reader()}
-	}
-	got, errs := ReplayBatchResults(wide, 1)
-	for j := range wide {
-		if errs[j] != nil {
-			t.Fatalf("wide job %d: %v", j, errs[j])
+// TestRunSweepLockstepParity: batches mixing two models and several
+// same-model scenarios must match per-job Session.ReplayRows bitwise at
+// every worker count (same-model jobs lockstep; chunking varies with
+// workers).
+func TestRunSweepLockstepParity(t *testing.T) {
+	oil, air := lockstepModels(t)
+	traces := []*trace.PowerTrace{pulse(t, "IntReg"), pulse(t, "FPMap"), pulse(t, "Dcache")}
+	var models []*Model
+	var srcs []*trace.PowerTrace
+	for _, m := range []*Model{oil, air} {
+		for _, tr := range traces {
+			models = append(models, m)
+			srcs = append(srcs, tr)
 		}
-		samePoints(t, fmt.Sprintf("wide job %d", j), got[j], ref[5])
 	}
+	batchMatchesSessions(t, models, srcs, sessionReplays(t, models, srcs), 1, 2, 5)
+}
+
+// TestRunReplayBatchLockstepParity: batches mixing three models and traces
+// of different lengths in one lockstep group — shorter ones drop out at EOF — must match per-job
+// Session.ReplayRows bitwise at every worker count, including GOMAXPROCS
+// (workers = 0).
+func TestRunReplayBatchLockstepParity(t *testing.T) {
+	oil, air := lockstepModels(t)
+	oil2 := oilModel(t, floorplan.EV6(), Uniform, 1.0, false)
+	long := pulse(t, "IntReg")
+	short := &trace.PowerTrace{Names: long.Names, Interval: long.Interval, Rows: pulse(t, "FPMap").Rows[:5]}
+	models := []*Model{oil, oil, air, oil2, oil, air}
+	srcs := []*trace.PowerTrace{long, short, long, pulse(t, "Dcache"), long, short}
+	batchMatchesSessions(t, models, srcs, sessionReplays(t, models, srcs), 1, 2, 4, 0)
+}
+
+// TestRunReplayBatchSharedModel: N jobs against one model match N serial
+// replays, also when N exceeds rcnet.MaxBatchWidth and the group splits.
+func TestRunReplayBatchSharedModel(t *testing.T) {
+	m := testModel(t)
+	tr := pulseTrace(t, m.Floorplan())
+	serial, err := m.NewSession().ReplayRows(m.AmbientState(), tr.Reader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4, rcnet.MaxBatchWidth + 6} {
+		jobs := make([]ReplayJob, n)
+		for i := range jobs {
+			jobs[i] = ReplayJob{Model: m, Rows: tr.Reader()}
+		}
+		got, errs := ReplayBatchResults(jobs, 1)
+		for j := range jobs {
+			if errs[j] != nil {
+				t.Fatalf("n=%d job %d: %v", n, j, errs[j])
+			}
+			samePoints(t, fmt.Sprintf("n=%d job %d", n, j), got[j], serial)
+		}
+	}
+}
+
+// TestRunSweepAcrossModels: one batch mixing two different models and a
+// repeated model. Jobs sharing a model must not interfere (exercised under
+// -race in CI), and a short heat pulse must heat IntReg in every replay.
+func TestRunSweepAcrossModels(t *testing.T) {
+	fp := floorplan.EV6()
+	oil := oilModel(t, fp, Uniform, 1.0, false)
+	air := airModel(t, fp, 1.0, false)
+	tr, err := trace.PulseTrain(fp.Names(), "IntReg", 2, 4e-3, 4e-3, 1e-3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []ReplayJob{{Model: oil, Rows: tr.Reader()}, {Model: air, Rows: tr.Reader()}, {Model: oil, Rows: tr.Reader()}}
+	pts, errs := ReplayBatchResults(jobs, 0)
+	for j, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", j, err)
+		}
+	}
+	// The two oil replays are identical jobs: identical results.
+	samePoints(t, "oil job 2 vs oil job 0", pts[2], pts[0])
+	idx := fp.Index("IntReg")
+	for j := range pts {
+		rise := pts[j][4].BlockC[idx] - pts[j][0].BlockC[idx]
+		if math.IsNaN(rise) || rise <= 0 {
+			t.Fatalf("job %d: IntReg did not heat (rise %g)", j, rise)
+		}
+	}
+}
+
+// TestRunTraceBatchMatchesRunTrace: a batch of pulses on different blocks
+// of one model must reproduce each job's serial replay exactly.
+func TestRunTraceBatchMatchesRunTrace(t *testing.T) {
+	fp := floorplan.EV6()
+	m := oilModel(t, fp, Uniform, 1.0, true)
+	var models []*Model
+	var srcs []*trace.PowerTrace
+	for _, b := range []string{"IntReg", "Dcache", "L2", "FPMap"} {
+		tr, err := trace.PulseTrain(fp.Names(), b, 3, 5e-3, 5e-3, 1e-3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, m)
+		srcs = append(srcs, tr)
+	}
+	batchMatchesSessions(t, models, srcs, sessionReplays(t, models, srcs), 0)
 }
 
 // TestBatchSessionStepBlockPowerParity: the K-wide stepping session must

@@ -325,7 +325,9 @@ func TestResultAccessors(t *testing.T) {
 	}
 }
 
-func TestReplayPulse(t *testing.T) {
+// TestRunTracePulse: a 2 W IntReg pulse replayed as trace rows records one
+// point per row plus the initial state, peaking when the power switches off.
+func TestRunTracePulse(t *testing.T) {
 	fp := floorplan.EV6()
 	m := oilModel(t, fp, Uniform, 1.0, false)
 	irIdx := fp.Index("IntReg")

@@ -1,7 +1,9 @@
 package rcnet
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -86,6 +88,169 @@ func TestBatchSessionSkipsNilSlots(t *testing.T) {
 		if live[i] != ref[i] {
 			t.Fatalf("node %d: %v vs %v", i, live[i], ref[i])
 		}
+	}
+}
+
+// serialSteps steps temp alone through a fresh Session, steps times at dt
+// under constant power, and returns the initial state plus every stepped
+// state.
+func serialSteps(t *testing.T, s *Solver, power []float64, dt float64, steps int) [][]float64 {
+	t.Helper()
+	temp := s.AmbientVector()
+	se := s.NewSession()
+	out := [][]float64{append([]float64(nil), temp...)}
+	for i := 0; i < steps; i++ {
+		if err := se.StepBE(temp, power, dt); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, append([]float64(nil), temp...))
+	}
+	return out
+}
+
+// sameStates fails unless got and want are bit-identical state series.
+func sameStates(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples vs %d", what, len(got), len(want))
+	}
+	for k := range want {
+		for i := range want[k] {
+			if got[k][i] != want[k][i] {
+				t.Fatalf("%s sample %d node %d: batch %.17g vs serial %.17g", what, k, i, got[k][i], want[k][i])
+			}
+		}
+	}
+}
+
+// TestTransientBatchLockstepParity: jobs stepped in lockstep groups must
+// produce bit-identical samples to stepping each job alone, at any group
+// width, with two step sizes in one batch (one BatchSession per step size).
+func TestTransientBatchLockstepParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	net := gridNetwork(rng, 6, 5)
+	s, err := net.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, steps = 11, 20
+	dts := []float64{1e-3, 5e-4}
+	powers := make([][]float64, jobs)
+	ref := make([][][]float64, jobs)
+	for j := range powers {
+		powers[j] = randomPower(rng, net.N())
+		ref[j] = serialSteps(t, s, powers[j], dts[j%len(dts)], steps)
+	}
+	for _, width := range []int{1, 2, 4, jobs} {
+		got := make([][][]float64, jobs)
+		for d, dt := range dts {
+			var group []int
+			for j := d; j < jobs; j += len(dts) {
+				group = append(group, j)
+			}
+			for lo := 0; lo < len(group); lo += width {
+				chunk := group[lo:min(lo+width, len(group))]
+				bs := s.NewBatchSession(len(chunk))
+				temps := make([][]float64, len(chunk))
+				pws := make([][]float64, len(chunk))
+				errs := make([]error, len(chunk))
+				for k, j := range chunk {
+					temps[k], pws[k] = s.AmbientVector(), powers[j]
+					got[j] = [][]float64{append([]float64(nil), temps[k]...)}
+				}
+				for i := 0; i < steps; i++ {
+					if err := bs.StepBE(temps, pws, dt, errs); err != nil {
+						t.Fatal(err)
+					}
+					for k, j := range chunk {
+						if errs[k] != nil {
+							t.Fatalf("width=%d job %d step %d: %v", width, j, i, errs[k])
+						}
+						got[j] = append(got[j], append([]float64(nil), temps[k]...))
+					}
+				}
+			}
+		}
+		for j := range ref {
+			sameStates(t, fmt.Sprintf("width=%d job %d", width, j), got[j], ref[j])
+		}
+	}
+}
+
+// TestTransientBatchPanicIsolation: a job whose power source panics
+// mid-replay is dropped from its lockstep group by nilling its slot; the
+// healthy jobs keep every sample, bit-identical to stepping alone, and the
+// dropped job's state stays where it failed.
+func TestTransientBatchPanicIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	net := gridNetwork(rng, 4, 4)
+	s, err := net.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dt, steps, failAt = 1e-3, 10, 5
+	p := randomPower(rng, net.N())
+	ref := serialSteps(t, s, p, dt, steps)
+	source := func(job, step int) []float64 {
+		if job == 1 && step >= failAt {
+			panic("boom")
+		}
+		return p
+	}
+	// power fetches one job's row, turning a panic into an error.
+	power := func(job, step int) (row []float64, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("job %d panicked: %v", job, r)
+			}
+		}()
+		return source(job, step), nil
+	}
+	const kk = 3
+	bs := s.NewBatchSession(kk)
+	temps := make([][]float64, kk)
+	pws := make([][]float64, kk)
+	errs := make([]error, kk)
+	samples := make([][][]float64, kk)
+	for k := range temps {
+		temps[k] = s.AmbientVector()
+		samples[k] = [][]float64{append([]float64(nil), temps[k]...)}
+	}
+	failed := temps[1]
+	var jobErr error
+	for i := 0; i < steps; i++ {
+		for k := range temps {
+			if temps[k] == nil {
+				continue
+			}
+			row, err := power(k, i)
+			if err != nil {
+				jobErr, temps[k], pws[k] = err, nil, nil
+				continue
+			}
+			pws[k] = row
+		}
+		if err := bs.StepBE(temps, pws, dt, errs); err != nil {
+			t.Fatal(err)
+		}
+		for k := range temps {
+			if temps[k] != nil {
+				samples[k] = append(samples[k], append([]float64(nil), temps[k]...))
+			}
+		}
+	}
+	if jobErr == nil || !strings.Contains(jobErr.Error(), "job 1") || !strings.Contains(jobErr.Error(), "panicked") {
+		t.Fatalf("expected job 1 panic error, got %v", jobErr)
+	}
+	if len(samples[1]) != failAt+1 {
+		t.Fatalf("panicked job: %d samples, want %d", len(samples[1]), failAt+1)
+	}
+	sameStates(t, "panicked job state", [][]float64{failed}, ref[failAt:failAt+1])
+	for _, k := range []int{0, 2} {
+		if len(samples[k]) != steps+1 {
+			t.Fatalf("healthy job %d: %d samples, want %d", k, len(samples[k]), steps+1)
+		}
+		sameStates(t, fmt.Sprintf("healthy job %d", k), samples[k], ref)
 	}
 }
 

@@ -114,6 +114,56 @@ func TestBackendParityTransientBE(t *testing.T) {
 	}
 }
 
+// TestTransientBatchMatchesSerial: jobs stepped together through one
+// BatchSession must produce bit for bit the same samples as stepping each
+// job alone, on both the auto-selected (Cholesky) path and the CG path.
+func TestTransientBatchMatchesSerial(t *testing.T) {
+	for _, hint := range []SolverHint{HintAuto, HintCG} {
+		t.Run(hint.String(), func(t *testing.T) { testTransientBatchMatchesSerial(t, hint) })
+	}
+}
+
+func testTransientBatchMatchesSerial(t *testing.T, hint SolverHint) {
+	rng := rand.New(rand.NewSource(9))
+	net := gridNetwork(rng, 6, 6)
+	s, err := net.CompileHint(hint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want72 := "cholesky"
+	if hint == HintCG {
+		want72 = "sparse"
+	}
+	if s.Backend() != want72 {
+		t.Fatalf("hint %v: compiled onto %q, want %q", hint, s.Backend(), want72)
+	}
+	const jobs, steps, dt = 6, 10, 0.03
+	powers := make([][]float64, jobs)
+	temps := make([][]float64, jobs)
+	got := make([][][]float64, jobs)
+	for j := range powers {
+		powers[j] = randomPower(rng, net.N())
+		temps[j] = s.AmbientVector()
+		got[j] = [][]float64{append([]float64(nil), temps[j]...)}
+	}
+	bs := s.NewBatchSession(jobs)
+	errs := make([]error, jobs)
+	for i := 0; i < steps; i++ {
+		if err := bs.StepBE(temps, powers, dt, errs); err != nil {
+			t.Fatal(err)
+		}
+		for j := range temps {
+			if errs[j] != nil {
+				t.Fatalf("job %d step %d: %v", j, i, errs[j])
+			}
+			got[j] = append(got[j], append([]float64(nil), temps[j]...))
+		}
+	}
+	for j := range powers {
+		sameStates(t, fmt.Sprintf("job %d", j), got[j], serialSteps(t, s, powers[j], dt, steps))
+	}
+}
+
 // TestBackendParityTrace: trace-driven replay (time-varying power) agrees
 // between backends.
 func TestBackendParityTrace(t *testing.T) {

@@ -172,6 +172,43 @@ func TestDominantTimeConstantLadder(t *testing.T) {
 	}
 }
 
+// TestTransientTraceRecordsSamples: a pulse train stepped through a Session
+// and sampled every step records the initial state plus one sample per
+// step, peaking at the power-off point and decaying after.
+func TestTransientTraceRecordsSamples(t *testing.T) {
+	n, i := singleRC(300, 1, 1)
+	s, _ := n.Compile()
+	temp := s.AmbientVector()
+	const dt, steps = 0.05, 20
+	p := make([]float64, n.N())
+	se := s.NewSession()
+	times := []float64{0}
+	samples := [][]float64{append([]float64(nil), temp...)}
+	for k := 0; k < steps; k++ {
+		// Pulse train: on for the first half, off after.
+		p[i] = 0
+		if k < steps/2 {
+			p[i] = 4
+		}
+		if err := se.StepBE(temp, p, dt); err != nil {
+			t.Fatal(err)
+		}
+		times = append(times, float64(k+1)*dt)
+		samples = append(samples, append([]float64(nil), temp...))
+	}
+	if len(samples) != 21 {
+		t.Fatalf("got %d samples, want 21", len(samples))
+	}
+	if times[0] != 0 || math.Abs(times[20]-1.0) > 1e-12 {
+		t.Fatalf("sample times wrong: %g .. %g", times[0], times[20])
+	}
+	// Peak at the power-off point, then decay.
+	peak := samples[10][i]
+	if peak <= samples[5][i] || samples[20][i] >= peak {
+		t.Fatal("pulse response shape wrong")
+	}
+}
+
 func TestConnectAccumulates(t *testing.T) {
 	// Two parallel 2 K/W resistances = 1 K/W.
 	n := New(300)
