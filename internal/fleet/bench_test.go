@@ -3,9 +3,11 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -34,8 +36,23 @@ func BenchmarkFleetRingOwner(b *testing.B) {
 // BenchmarkFleetProxyOverhead measures a full proxied round trip against
 // no-op backends: HTTP in, route-key derivation, upstream call, response
 // copy. The backend does no solving, so the number is the router's wire
-// overhead per request.
+// overhead per request. It runs with hedging off and at the default hedge
+// delay (a steady solve is hedge-eligible, so it takes the race path), and
+// reports the router's upstream dials per request: near zero when
+// keep-alive holds, 1 when every request redials its replica.
 func BenchmarkFleetProxyOverhead(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		hedge time.Duration
+	}{
+		{"hedge=off", -1},
+		{"hedge=default", 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchProxyOverhead(b, bc.hedge) })
+	}
+}
+
+func benchProxyOverhead(b *testing.B, hedgeDelay time.Duration) {
 	h, err := NewHarness(3, func(int) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -46,7 +63,9 @@ func BenchmarkFleetProxyOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer h.Close()
-	rt, err := New(Config{Replicas: h.Addrs(), ProbeInterval: time.Hour, HedgeDelay: -1})
+	var dials atomic.Int64
+	rt, err := New(Config{Replicas: h.Addrs(), ProbeInterval: time.Hour, HedgeDelay: hedgeDelay,
+		Transport: countingTransport(&dials)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +82,7 @@ func BenchmarkFleetProxyOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := resp.Body.Read(make([]byte, 64)); err != nil && err.Error() != "EOF" {
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 			b.Fatal(err)
 		}
 		resp.Body.Close()
@@ -71,6 +90,7 @@ func BenchmarkFleetProxyOverhead(b *testing.B) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
+	b.ReportMetric(float64(dials.Load())/float64(b.N), "dials/op")
 }
 
 // BenchmarkFleetFailoverWindow measures request latency while the primary

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/service"
@@ -190,6 +191,12 @@ type upstreamResult struct {
 	err   error
 	rep   *replica
 	hedge bool
+	// cancel ends a raced chain's context. The response body is read under
+	// that context, so it may only run once the body has been copied and
+	// closed; cancelling earlier cuts the reply short and makes the
+	// transport drop the connection. nil when the chain ran on the
+	// request's own context.
+	cancel context.CancelFunc
 }
 
 var errNoReplica = fmt.Errorf("fleet: no replica available")
@@ -223,6 +230,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		rt.failJSON(w, http.StatusBadGateway, true, fmt.Errorf("fleet: %w", res.err))
 		return
 	}
+	if res.cancel != nil {
+		defer res.cancel()
+	}
 	defer res.resp.Body.Close()
 	copyResponse(w, res.resp)
 }
@@ -230,7 +240,9 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 // dispatch runs the primary attempt chain and, for idempotent requests with
 // deadline headroom, a single hedge against the next ring owner once the
 // primary has run alone for HedgeDelay. The first settled chain with a
-// definitive response wins; the loser is cancelled and drained.
+// definitive response wins; the loser is cancelled and drained. Each chain
+// runs on its own context so that cancelling the loser leaves the winner's
+// response body readable: the winner's cancel travels back in its result.
 func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamResult {
 	ctx := r.Context()
 	primary, _ := rt.ring.OwnerBounded(key, rt.cfg.BoundedLoadFactor, rt.available, rt.loadOf)
@@ -243,11 +255,11 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 		return rt.tryOwners(ctx, r, body, order, false)
 	}
 
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	primaryCtx, cancelPrimary := context.WithCancel(ctx)
+	cancelHedge := context.CancelFunc(func() {}) // replaced when the hedge fires
 	resc := make(chan upstreamResult, 2)
 	running := 1
-	go func() { resc <- rt.tryOwners(raceCtx, r, body, order, false) }()
+	go func() { resc <- rt.tryOwners(primaryCtx, r, body, order, false) }()
 
 	hedgeTimer := time.NewTimer(rt.cfg.HedgeDelay)
 	defer hedgeTimer.Stop()
@@ -257,16 +269,21 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 		case res := <-resc:
 			running--
 			if res.err == nil {
+				loser := cancelHedge
+				res.cancel = cancelPrimary
 				if res.hedge {
 					rt.counters.hedgesWon.Add(1)
+					res.cancel, loser = cancelHedge, cancelPrimary
 				}
-				cancel()
+				loser()
 				if running > 0 {
 					go drainResult(resc)
 				}
 				return res
 			}
 			if running == 0 {
+				cancelPrimary()
+				cancelHedge()
 				// Both chains (or the only one) failed: surface the primary's
 				// error when it is the more descriptive of the two.
 				if lastFail.err != nil && !lastFail.hedge {
@@ -282,7 +299,9 @@ func (rt *Router) dispatch(r *http.Request, key string, body []byte) upstreamRes
 				continue
 			}
 			running++
-			go func() { resc <- rt.hedgeAttempt(raceCtx, r, body, order) }()
+			var hedgeCtx context.Context
+			hedgeCtx, cancelHedge = context.WithCancel(ctx)
+			go func() { resc <- rt.hedgeAttempt(hedgeCtx, r, body, order) }()
 		}
 	}
 }
@@ -523,6 +542,12 @@ func copyProxyHeaders(dst, src http.Header) {
 	}
 }
 
+// copyBufs recycles copyResponse's 32 KiB buffers across responses.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	h := w.Header()
 	for k, vs := range resp.Header {
@@ -541,7 +566,9 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	// Flush per chunk so NDJSON streams (scenario/query) keep flowing
 	// through the proxy.
 	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := resp.Body.Read(buf)
 		if n > 0 {

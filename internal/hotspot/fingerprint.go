@@ -1,40 +1,34 @@
 package hotspot
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 	"math"
 
 	"repro/internal/materials"
 )
 
-// fingerprintWriter serializes model-defining values into a hash with a
-// stable, platform-independent encoding (IEEE-754 bit patterns, length-
-// prefixed strings).
+// fingerprintWriter serializes model-defining values with a stable,
+// platform-independent encoding (IEEE-754 bit patterns, length-prefixed
+// strings) into one byte slice that is hashed once.
 type fingerprintWriter struct {
-	h   io.Writer
-	buf [8]byte
+	b []byte
 }
 
 func (w *fingerprintWriter) f64(vs ...float64) {
 	for _, v := range vs {
-		binary.LittleEndian.PutUint64(w.buf[:], math.Float64bits(v))
-		w.h.Write(w.buf[:])
+		w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
 	}
 }
 
 func (w *fingerprintWriter) str(s string) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(len(s)))
-	w.h.Write(w.buf[:])
-	w.h.Write([]byte(s))
+	w.b = binary.LittleEndian.AppendUint64(w.b, uint64(len(s)))
+	w.b = append(w.b, s...)
 }
 
 func (w *fingerprintWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
 }
 
 func (w *fingerprintWriter) bool(b bool) {
@@ -50,6 +44,10 @@ func (w *fingerprintWriter) fluid(f materials.Fluid) {
 	w.f64(f.Conductivity, f.Density, f.SpecificHeat, f.KinViscosity)
 }
 
+// fingerprintFixedBytes bounds the encoding of everything but the block
+// list and the two coolant names (about 360 bytes today).
+const fingerprintFixedBytes = 512
+
 // Fingerprint returns a stable hex digest of everything that determines the
 // compiled thermal model: the floorplan geometry, the (defaulted) package
 // configuration, and the material properties that enter through the config
@@ -59,14 +57,20 @@ func (w *fingerprintWriter) fluid(f materials.Fluid) {
 // the binary; the leading version tag must be bumped if they ever change.
 func (cfg Config) Fingerprint() string {
 	c := cfg.Defaulted()
-	h := sha256.New()
-	// Buffer the many small field writes; a large floorplan is thousands of
-	// them and this sits on the service's warm request path.
-	bw := bufio.NewWriterSize(h, 4096)
-	w := &fingerprintWriter{h: bw}
+	m := c.Micro.defaulted()
+	fp := c.Floorplan
+	// Size the buffer once: this runs on every warm request (router route
+	// key and replica cache key), and a large floorplan is thousands of
+	// fields.
+	size := fingerprintFixedBytes + len(c.Oil.Fluid.Name) + len(m.Coolant.Name)
+	if fp != nil {
+		for _, b := range fp.Blocks {
+			size += 5*8 + len(b.Name)
+		}
+	}
+	w := &fingerprintWriter{b: make([]byte, 0, size)}
 	w.str("hotspot-model-v2")
 
-	fp := c.Floorplan
 	if fp == nil {
 		w.u64(0)
 	} else {
@@ -89,7 +93,6 @@ func (cfg Config) Fingerprint() string {
 	w.u64(uint64(o.Direction))
 	w.bool(o.DisableBoundaryCapacitance)
 
-	m := c.Micro.defaulted()
 	w.fluid(m.Coolant)
 	w.f64(m.ChannelWidth, m.ChannelDepth, m.WallWidth, m.Nu, m.FinEfficiency)
 
@@ -104,8 +107,8 @@ func (cfg Config) Fingerprint() string {
 	w.bool(c.Reduced.Enabled)
 	w.u64(uint64(c.Reduced.Order))
 
-	bw.Flush()
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(w.b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Fingerprint returns the fingerprint of the (defaulted) configuration this
