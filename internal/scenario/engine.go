@@ -504,34 +504,26 @@ type producer struct {
 	// workload phase state
 	cpu          *uarch.CPU
 	targetCycles float64
-	baseCycle    uint64
 }
 
 func (c *Compiled) newProducer() *producer {
-	p := &producer{c: c}
-	p.enterPhase()
-	return p
+	return &producer{c: c}
 }
 
-func (p *producer) enterPhase() {
-	ph := &p.c.phases[p.phase]
-	p.cpu = nil
-	if ph.kind == phaseWorkload {
-		// A fresh, identically-seeded stream per phase entry: every grid
-		// cell sees the same nominal instruction sequence and diverges only
-		// through closed-loop throttling.
-		stream, err := uarch.NewStream(ph.workload, ph.seed)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: compiled workload rejected: %v", err))
-		}
-		cpu, err := uarch.NewCPU(uarch.DefaultCPU(), stream)
-		if err != nil {
-			panic(fmt.Sprintf("scenario: compiled CPU rejected: %v", err))
-		}
-		p.cpu = cpu
-		p.targetCycles = 0
-		p.baseCycle = 0
+// startCPU gives a workload phase a fresh, identically-seeded stream and
+// CPU: every grid cell sees the same nominal instruction sequence and
+// diverges only through closed-loop throttling.
+func (p *producer) startCPU(ph *compiledPhase) {
+	stream, err := uarch.NewStream(ph.workload, ph.seed)
+	if err != nil {
+		panic(fmt.Sprintf("scenario: compiled workload rejected: %v", err))
 	}
+	cpu, err := uarch.NewCPU(uarch.DefaultCPU(), stream)
+	if err != nil {
+		panic(fmt.Sprintf("scenario: compiled CPU rejected: %v", err))
+	}
+	p.cpu = cpu
+	p.targetCycles = 0
 }
 
 func (p *producer) advance() {
@@ -539,7 +531,9 @@ func (p *producer) advance() {
 	if p.inPhase >= p.c.phases[p.phase].steps {
 		p.inPhase = 0
 		p.phase = (p.phase + 1) % len(p.c.phases)
-		p.enterPhase()
+		// A workload phase builds its CPU on its first step (startCPU), so
+		// the wrap after a cell's final step builds nothing.
+		p.cpu = nil
 	}
 }
 
@@ -554,10 +548,12 @@ func (p *producer) next(blockPower []float64, progress, vScale, sScale, rowScale
 	ph := &c.phases[p.phase]
 	switch ph.kind {
 	case phaseWorkload:
+		if p.cpu == nil {
+			p.startCPU(ph)
+		}
 		p.targetCycles += ph.cyclesPerStep * progress
 		var agg uarch.ActivitySample
-		executed := p.cpu.Cycle() - p.baseCycle
-		if want := p.targetCycles - float64(executed); want >= 1 {
+		if want := p.targetCycles - float64(p.cpu.Cycle()); want >= 1 {
 			samples, err := p.cpu.Run(uint64(want), uint64(want))
 			if err != nil {
 				return 0, fmt.Errorf("scenario: workload step: %w", err)
@@ -769,7 +765,7 @@ type cellRun struct {
 	blockPower []float64
 	blocksC    []float64
 	m          Metrics
-	nonWorkPen float64 // engaged non-workload penalty accumulator
+	nonWorkPen float64  // engaged non-workload penalty accumulator
 	tel        []string // telemetry series names, nil unless a sink is attached
 	err        error
 	done       bool

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"repro/internal/dtm"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -119,9 +120,9 @@ type Phase struct {
 
 // TraceSpec is an inline per-block power trace.
 type TraceSpec struct {
-	Names    []string    `json:"names"`
-	Interval float64     `json:"interval"`
-	Rows     [][]float64 `json:"rows"`
+	Names    []string   `json:"names"`
+	Interval float64    `json:"interval"`
+	Rows     trace.Rows `json:"rows"`
 }
 
 // PulseSpec is a square-wave power input: Block dissipates PeakW for OnS

@@ -179,9 +179,9 @@ func (sp ModelSpec) Fingerprint() (string, error) {
 
 // TraceSpec is an inline power trace.
 type TraceSpec struct {
-	Names    []string    `json:"names"`
-	Interval float64     `json:"interval"`
-	Rows     [][]float64 `json:"rows"`
+	Names    []string   `json:"names"`
+	Interval float64    `json:"interval"`
+	Rows     trace.Rows `json:"rows"`
 }
 
 // powerTrace materializes the inline trace (validating names, interval and

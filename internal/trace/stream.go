@@ -118,6 +118,7 @@ type Decoder struct {
 	sc       *bufio.Scanner
 	line     int
 	rows     int
+	row      []float64 // NDJSON scratch row
 }
 
 // maxLineBytes bounds a single input line (matches the legacy Read limit).
@@ -217,14 +218,13 @@ func (d *Decoder) Next(dst []float64) error {
 	}
 	switch d.format {
 	case FormatNDJSON:
-		var row []float64
-		if err := json.Unmarshal([]byte(text), &row); err != nil {
+		if d.row, err = appendRow(d.row[:0], []byte(text)); err != nil {
 			return fmt.Errorf("trace: line %d: %v", d.line, err)
 		}
-		if len(row) != len(d.names) {
-			return fmt.Errorf("trace: line %d: row has %d values, want %d", d.line, len(row), len(d.names))
+		if len(d.row) != len(d.names) {
+			return fmt.Errorf("trace: line %d: row has %d values, want %d", d.line, len(d.row), len(d.names))
 		}
-		copy(dst, row)
+		copy(dst, d.row)
 	default:
 		var fields []string
 		if d.format == FormatCSV {

@@ -259,7 +259,11 @@ func TestChaosDiskFull(t *testing.T) {
 
 // TestChaosSlowAndFailingReads injects latency and errors on the query
 // path's segment reads: queries either succeed bit-exactly or fail with a
-// typed error; they never panic and never return wrong data.
+// typed error; they never panic and never return wrong data. A sequential
+// pass comes first: with one reader the seeded fault RNG hands out the same
+// draws on every run, so the mix of outcomes it must show is fixed by the
+// seed. Four concurrent readers then share the RNG, and the draws each sees
+// depend on the scheduler, so that pass holds only the per-query checks.
 func TestChaosSlowAndFailingReads(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(nil, 7,
@@ -282,40 +286,61 @@ func TestChaosSlowAndFailingReads(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// query runs one full-range query and reports whether it succeeded; a
+	// failure must be the injected error, a success must return every row
+	// exactly. valid is false once a violation has been reported.
+	query := func() (ok, valid bool) {
+		res, err := st.Query("s", 0, int64(n)*1_000_000, 0)
+		if err != nil {
+			if !errors.Is(err, faultfs.ErrInjected) {
+				t.Errorf("untyped query error: %v", err)
+				return false, false
+			}
+			return false, true
+		}
+		if len(res.Rows) != n {
+			t.Errorf("%d rows, want %d", len(res.Rows), n)
+			return true, false
+		}
+		for j, r := range res.Rows {
+			if r != want[j] {
+				t.Errorf("row %d: %+v != %+v", j, r, want[j])
+				return true, false
+			}
+		}
+		return true, true
+	}
+
+	var okReads, failedReads int
+	for i := 0; i < 200; i++ {
+		ok, valid := query()
+		if !valid {
+			return
+		}
+		if ok {
+			okReads++
+		} else {
+			failedReads++
+		}
+	}
+	t.Logf("sequential pass: ok=%d failed=%d", okReads, failedReads)
+	if okReads == 0 || failedReads == 0 {
+		t.Fatalf("sequential pass: want a mix of outcomes, got ok=%d failed=%d", okReads, failedReads)
+	}
+
 	var wg sync.WaitGroup
-	var okReads, failedReads atomic.Int64
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				res, err := st.Query("s", 0, int64(n)*1_000_000, 0)
-				if err != nil {
-					if !errors.Is(err, faultfs.ErrInjected) {
-						t.Errorf("untyped query error: %v", err)
-						return
-					}
-					failedReads.Add(1)
-					continue
-				}
-				okReads.Add(1)
-				if len(res.Rows) != n {
-					t.Errorf("%d rows, want %d", len(res.Rows), n)
+				if _, valid := query(); !valid {
 					return
-				}
-				for j, r := range res.Rows {
-					if r != want[j] {
-						t.Errorf("row %d: %+v != %+v", j, r, want[j])
-						return
-					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if okReads.Load() == 0 || failedReads.Load() == 0 {
-		t.Fatalf("want a mix of outcomes, got ok=%d failed=%d", okReads.Load(), failedReads.Load())
-	}
 }
 
 // TestChaosTornHeader: a flush whose very first file write fails leaves no

@@ -20,13 +20,16 @@
 package uarch
 
 // Cache is a set-associative cache with LRU replacement. Addresses are byte
-// addresses; only tags are stored.
+// addresses; only tags are stored. Tags and last-use stamps are two flat
+// set-major arrays (set s owns [s*ways, (s+1)*ways)) cut from one
+// allocation, so building a 2 MiB L2 costs the same two allocations as a
+// one-set cache.
 type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
-	tags      [][]uint64
-	lru       [][]uint64 // per-way last-use stamps
+	tags      []uint64
+	lru       []uint64 // per-way last-use stamps
 	stamp     uint64
 
 	Accesses uint64
@@ -48,15 +51,11 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	c := &Cache{sets: sets, ways: ways, lineShift: shift}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint64, sets)
+	n := sets * ways
+	store := make([]uint64, 2*n)
+	c := &Cache{sets: sets, ways: ways, lineShift: shift, tags: store[:n:n], lru: store[n:]}
 	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]uint64, ways)
-		for w := range c.tags[i] {
-			c.tags[i][w] = ^uint64(0) // invalid
-		}
+		c.tags[i] = ^uint64(0) // invalid
 	}
 	return c
 }
@@ -68,23 +67,24 @@ func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := int(line % uint64(c.sets))
 	tag := line / uint64(c.sets)
-	tags := c.tags[set]
+	lo, hi := set*c.ways, (set+1)*c.ways
+	tags, lru := c.tags[lo:hi], c.lru[lo:hi]
 	for w, t := range tags {
 		if t == tag {
-			c.lru[set][w] = c.stamp
+			lru[w] = c.stamp
 			return true
 		}
 	}
 	c.Misses++
 	// Evict LRU way.
-	victim, oldest := 0, c.lru[set][0]
-	for w := 1; w < c.ways; w++ {
-		if c.lru[set][w] < oldest {
-			victim, oldest = w, c.lru[set][w]
+	victim, oldest := 0, lru[0]
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < oldest {
+			victim, oldest = w, lru[w]
 		}
 	}
 	tags[victim] = tag
-	c.lru[set][victim] = c.stamp
+	lru[victim] = c.stamp
 	return false
 }
 

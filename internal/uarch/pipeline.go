@@ -152,11 +152,12 @@ func NewCPU(cfg CPUConfig, stream *Stream) (*CPU, error) {
 	ring := cfg.ROBSize
 	c.complete = make([]uint64, ring)
 	c.effCommit = make([]uint64, ring)
-	c.fu[fuIntALU] = make([]uint64, cfg.NIntALU)
-	c.fu[fuIntMul] = make([]uint64, cfg.NIntMul)
-	c.fu[fuFPAdd] = make([]uint64, cfg.NFPAdd)
-	c.fu[fuFPMul] = make([]uint64, cfg.NFPMul)
-	c.fu[fuMem] = make([]uint64, cfg.NMemPort)
+	// The per-kind next-free tables share one backing array.
+	perKind := [len(c.fu)]int{fuIntALU: cfg.NIntALU, fuIntMul: cfg.NIntMul, fuFPAdd: cfg.NFPAdd, fuFPMul: cfg.NFPMul, fuMem: cfg.NMemPort}
+	units := make([]uint64, cfg.NIntALU+cfg.NIntMul+cfg.NFPAdd+cfg.NFPMul+cfg.NMemPort)
+	for k, n := range perKind {
+		c.fu[k], units = units[:n:n], units[n:]
+	}
 	return c, nil
 }
 

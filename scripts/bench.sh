@@ -9,7 +9,9 @@
 # group: ingest rows/s — gated at ≥1M rows/s on one core — plus rollup and
 # raw query latency, and the fleet routing group: bounded-load ring
 # lookups, proxy wire overhead against no-op backends, and the failover
-# window p99 while the primary owner is dead) and emits BENCH_solver.json
+# window p99 while the primary owner is dead, and the co-simulation setup
+# group: building one CPU, and compiling plus running a 4-cell DTM grid)
+# and emits BENCH_solver.json
 # via cmd/benchreport:
 # ns/op, B/op, allocs/op, custom metrics, GOMAXPROCS and the commit hash.
 #
@@ -40,6 +42,7 @@ RCNET_BENCHTIME="${BENCHTIME:-20x}"
 KERNEL_BENCHTIME="${BENCHTIME:-20x}"
 TSTORE_BENCHTIME="${BENCHTIME:-200x}"
 FLEET_BENCHTIME="${BENCHTIME:-200x}"
+COSIM_BENCHTIME="${BENCHTIME:-200x}"
 OUT="${OUT:-BENCH_solver.json}"
 BENCH_PROCS="${BENCH_PROCS:-1 4}"
 
@@ -70,6 +73,12 @@ for procs in $BENCH_PROCS; do
   echo "== tstore telemetry store benchmarks (-benchtime $TSTORE_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkTstore' \
     -benchmem -benchtime "$TSTORE_BENCHTIME" ./internal/tstore | tee -a "$tmp"
+
+  echo "== co-simulation setup benchmarks (-benchtime $COSIM_BENCHTIME)"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkNewCPU$' \
+    -benchmem -benchtime "$COSIM_BENCHTIME" ./internal/uarch | tee -a "$tmp"
+  GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkScenarioGrid$' \
+    -benchmem -benchtime "$COSIM_BENCHTIME" ./internal/scenario | tee -a "$tmp"
 
   echo "== fleet routing benchmarks (-benchtime $FLEET_BENCHTIME)"
   GOMAXPROCS="$procs" go test -run '^$' -bench 'BenchmarkFleet' \
