@@ -3,11 +3,7 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-
-	"repro/internal/pool"
 )
 
 // This file implements the sparse direct solver backend: an approximate-
@@ -165,16 +161,7 @@ type cholSymbolic struct {
 	// updaters[s] lists the supernodes whose row pattern intersects s's
 	// columns, ascending — exactly the panels whose outer products must be
 	// subtracted from s's panel, applied in this (deterministic) order.
-	// levels is a topological level schedule over that DAG: supernodes
-	// within a level touch disjoint panels and parallelize freely.
 	updaters [][]int32
-	levels   [][]int32
-
-	// updCost[s] estimates the multiply-add count of s's scheduled panel
-	// updates. It drives updateChunk's within-panel split of expensive
-	// panels across workers; a pure function of the pattern, so every
-	// factorization of this analysis tiles identically.
-	updCost []int64
 }
 
 // NNZL returns the number of strictly-lower-triangular entries in the
@@ -451,55 +438,16 @@ func (sym *cholSymbolic) partitionSupernodes(m *CSR, counts []int) {
 	// Update schedule: supernode d updates every supernode owning one of
 	// its rows in column range. Rows are sorted and supernodes are
 	// contiguous column ranges, so same-target rows are consecutive;
-	// iterating d ascending leaves each updaters list ascending. Alongside,
-	// accumulate each target's estimated update flops (for a run of nq
-	// target columns starting at row index q0 of d: dw pivots × nq columns ×
-	// (len(rd)−q0) rows, the trapezoid the update kernel walks).
+	// iterating d ascending leaves each updaters list ascending.
 	sym.updaters = make([][]int32, ns)
-	sym.updCost = make([]int64, ns)
 	for d := 0; d < ns; d++ {
-		dw := int64(sym.snStart[d+1] - sym.snStart[d])
-		rd := sym.rows[d]
 		lastS := int32(-1)
-		runStart := 0
-		for qi, r := range rd {
-			s := sym.snOf[r]
-			if s != lastS {
-				if lastS >= 0 {
-					nq := int64(qi - runStart)
-					sym.updCost[lastS] += dw * nq * int64(len(rd)-runStart)
-				}
+		for _, r := range sym.rows[d] {
+			if s := sym.snOf[r]; s != lastS {
 				sym.updaters[s] = append(sym.updaters[s], int32(d))
 				lastS = s
-				runStart = qi
 			}
 		}
-		if lastS >= 0 {
-			nq := int64(len(rd) - runStart)
-			sym.updCost[lastS] += dw * nq * int64(len(rd)-runStart)
-		}
-	}
-
-	// Level schedule: level(s) = 1 + max level of its updaters (all of
-	// which precede s). Supernodes within a level have all dependencies in
-	// earlier levels and factor in parallel.
-	level := make([]int32, ns)
-	maxLevel := int32(0)
-	for s := 0; s < ns; s++ {
-		lv := int32(0)
-		for _, d := range sym.updaters[s] {
-			if l := level[d] + 1; l > lv {
-				lv = l
-			}
-		}
-		level[s] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	sym.levels = make([][]int32, maxLevel+1)
-	for s := 0; s < ns; s++ {
-		sym.levels[level[s]] = append(sym.levels[level[s]], int32(s))
 	}
 }
 
@@ -520,72 +468,21 @@ type cholFactor struct {
 	invD []float64
 }
 
-// parallelFactorMinN gates the level-parallel factorization: below this the
-// per-level barrier costs more than the panels, and the serial sweep is
-// already cache-resident. The numeric result is bit-identical either way —
-// panels are written disjointly and each panel applies its updates in the
-// same deterministic order.
-const parallelFactorMinN = 2048
-
-// splitFlops is the target per-task multiply-add count when updateChunk
-// splits one panel's update across workers: big enough that task scheduling
-// stays noise (tens of microseconds of arithmetic per task), small enough
-// that the heavy panels near the etree root — where a level holds fewer
-// independent panels than the pool holds workers — fan out instead of
-// serializing their level.
-const splitFlops = 1 << 17
-
-// splitMinCols floors the width of a split update chunk: narrower chunks
-// would starve the 4-column update tiles that make the panel kernel fast.
-const splitMinCols = 4
-
-// updateChunk returns the target-column chunk width used to process (and,
-// on the parallel path, split) supernode s's panel update; w means no
-// split. A pure function of the symbolic analysis, so serial and parallel
-// factorizations walk identical tiles and stay bit-for-bit reproducible at
-// any GOMAXPROCS.
-func (sym *cholSymbolic) updateChunk(s int32) int {
-	w := int(sym.snStart[s+1] - sym.snStart[s])
-	if w <= splitMinCols {
-		return w
-	}
-	nt := int(sym.updCost[s] / splitFlops)
-	if maxT := w / splitMinCols; nt > maxT {
-		nt = maxT
-	}
-	if nt <= 1 {
-		return w
-	}
-	return (w + nt - 1) / nt
-}
-
-// snScratch is the per-worker factorization scratch: the global-row → panel-
-// row map for the current target panel, the scalar-tail accumulation buffer
-// and the update tiles' scale-factor buffer.
+// snScratch is the factorization scratch: the global-row → panel-row map
+// for the current target panel, the scalar-tail accumulation buffer and the
+// update tiles' scale-factor buffer.
 type snScratch struct {
 	rowLoc []int32
 	wbuf   []float64
 	abuf   []float64
 }
 
-func newSnScratch(sym *cholSymbolic) *snScratch {
-	return &snScratch{
-		rowLoc: make([]int32, sym.n),
-		wbuf:   make([]float64, sym.maxNR),
-		abuf:   make([]float64, 4*max(sym.maxW, 1)),
-	}
-}
-
-// factorSupernodal runs the numeric phase: every supernode assembles its
-// panel from the permuted matrix, subtracts the outer-product updates of
-// earlier panels through the 4×4 register-blocked tile kernel, and factors
-// the panel with the rank-4 blocked dense LDLᵀ kernel. Supernodes are
-// scheduled level by level across the worker pool on large systems, and a
-// panel whose update cost dominates its level is itself split into column-
-// range tasks (updateChunk) so the pool stays busy near the etree root.
-// Chunking is a pure function of the symbolic analysis and every output
-// entry accumulates its updates in the same deterministic order, so factors
-// are bit-stable at any GOMAXPROCS.
+// factorSupernodal runs the numeric phase: in column order, every supernode
+// assembles its panel from the permuted matrix, subtracts the outer-product
+// updates of earlier panels through the 4×4 register-blocked tile kernel,
+// and factors the panel with the rank-4 blocked dense LDLᵀ kernel. Every
+// output entry accumulates its updates in one deterministic order, so the
+// factor bits depend on the symbolic analysis alone (TestFactorGolden).
 func factorSupernodal(m *CSR, sym *cholSymbolic) (*cholFactor, error) {
 	n := sym.n
 	f := &cholFactor{
@@ -593,73 +490,15 @@ func factorSupernodal(m *CSR, sym *cholSymbolic) (*cholFactor, error) {
 		d:    make([]float64, n),
 		invD: make([]float64, n),
 	}
-	ns := sym.Supernodes()
-	if n < parallelFactorMinN || runtime.GOMAXPROCS(0) == 1 {
-		ws := newSnScratch(sym)
-		for s := int32(0); int(s) < ns; s++ {
-			w := int(sym.snStart[s+1] - sym.snStart[s])
-			chunk := sym.updateChunk(s)
-			for lo := 0; lo < w; lo += chunk {
-				factorPanelCols(m, sym, f, s, lo, min(lo+chunk, w), ws)
-			}
-			if err := densePanelLDL(sym, f, s); err != nil {
-				return nil, err
-			}
-		}
-		f.compress(sym)
-		return f, nil
+	ws := &snScratch{
+		rowLoc: make([]int32, n),
+		wbuf:   make([]float64, sym.maxNR),
+		abuf:   make([]float64, 4*max(sym.maxW, 1)),
 	}
-	errs := make([]error, ns)
-	// Worker scratch is pooled across levels: a deep schedule would
-	// otherwise allocate levels×workers n-sized buffers per factorization.
-	var scratch sync.Pool
-	scratch.New = func() any { return newSnScratch(sym) }
-	// spans and deferred are rebuilt per level (capacity is reused; every
-	// pool.Run completes before the next level starts).
-	type span struct {
-		s      int32
-		lo, hi int32
-		factor bool // dense-factor the panel right after its only chunk
-	}
-	var spans []span
-	var deferred []int32 // split panels: dense factor runs after all chunks
-	for _, lvl := range sym.levels {
-		spans = spans[:0]
-		deferred = deferred[:0]
-		for _, s := range lvl {
-			w := int(sym.snStart[s+1] - sym.snStart[s])
-			chunk := sym.updateChunk(s)
-			if chunk >= w {
-				spans = append(spans, span{s: s, lo: 0, hi: int32(w), factor: true})
-				continue
-			}
-			for lo := 0; lo < w; lo += chunk {
-				spans = append(spans, span{s: s, lo: int32(lo), hi: int32(min(lo+chunk, w))})
-			}
-			deferred = append(deferred, s)
-		}
-		ts := spans
-		pool.Run(len(ts), 0, func() func(int) {
-			return func(i int) {
-				ws := scratch.Get().(*snScratch)
-				t := ts[i]
-				factorPanelCols(m, sym, f, t.s, int(t.lo), int(t.hi), ws)
-				if t.factor {
-					errs[t.s] = densePanelLDL(sym, f, t.s)
-				}
-				scratch.Put(ws)
-			}
-		})
-		if len(deferred) > 0 {
-			df := deferred
-			pool.Run(len(df), 0, func() func(int) {
-				return func(i int) { errs[df[i]] = densePanelLDL(sym, f, df[i]) }
-			})
-		}
-		for _, s := range lvl {
-			if errs[s] != nil {
-				return nil, errs[s] // lowest-column failure of the level
-			}
+	for s := int32(0); int(s) < sym.Supernodes(); s++ {
+		factorPanelCols(m, sym, f, s, ws)
+		if err := densePanelLDL(sym, f, s); err != nil {
+			return nil, err
 		}
 	}
 	f.compress(sym)
@@ -733,12 +572,10 @@ func (f *cholFactor) compress(sym *cholSymbolic) {
 	}
 }
 
-// factorPanelCols assembles target columns [tLo, tHi) of supernode s's panel
-// from the permuted matrix and applies every scheduled outer-product update
-// to them. All reads from other panels are to supernodes scheduled in
-// earlier levels; distinct column ranges of one panel write disjoint memory,
-// so chunks of the same panel run on different workers concurrently.
-func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi int, ws *snScratch) {
+// factorPanelCols assembles supernode s's panel from the permuted matrix and
+// applies every scheduled outer-product update to it. All reads from other
+// panels are to earlier, already factored supernodes.
+func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, ws *snScratch) {
 	c0 := int(sym.snStart[s])
 	c1 := int(sym.snStart[s+1])
 	w := c1 - c0
@@ -755,7 +592,7 @@ func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi
 	}
 
 	// Assemble the lower part of the permuted matrix columns.
-	for j := c0 + tLo; j < c0+tHi; j++ {
+	for j := c0; j < c1; j++ {
 		col := P[(j-c0)*nr:]
 		row := sym.perm[j]
 		for p := m.RowPtr[row]; p < m.RowPtr[row+1]; p++ {
@@ -768,8 +605,7 @@ func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi
 	// Outer-product updates from earlier panels, ascending supernode order:
 	// 4-column register-blocked tiles, scalar columns on the tail. Both
 	// paths accumulate each output entry over ascending pivots and write it
-	// once, so tiling (and chunk boundaries) never changes the result bits.
-	lo32, hi32 := int32(c0+tLo), int32(c0+tHi)
+	// once, so tiling never changes the result bits.
 	for _, d := range sym.updaters[s] {
 		dc0 := int(sym.snStart[d])
 		dw := int(sym.snStart[d+1]) - dc0
@@ -777,8 +613,8 @@ func factorPanelCols(m *CSR, sym *cholSymbolic, f *cholFactor, s int32, tLo, tHi
 		dnr := dw + len(rd)
 		Pd := f.vals[sym.panelPtr[d]:]
 		dpiv := f.d[dc0 : dc0+dw]
-		q := lowerBound32(rd, lo32)
-		end := lowerBound32(rd, hi32)
+		q := lowerBound32(rd, int32(c0))
+		end := lowerBound32(rd, int32(c1))
 		for ; end-q >= 4; q += 4 {
 			updateTile4(P, nr, Pd, dnr, dw, rd, q, rowLoc, dpiv, ws.abuf)
 		}

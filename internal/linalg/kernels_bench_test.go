@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// Benchmarks for the PR 6 register-blocked kernels: numeric refactorization
-// throughput (the multicore scaling row — run at GOMAXPROCS=1 and >1), the
-// wide solve kernels against repeated narrow invocations. scripts/bench.sh
-// runs these into BENCH_solver.json.
+// Benchmarks for the register-blocked kernels: numeric refactorization
+// throughput and the wide solve kernels against repeated narrow
+// invocations. scripts/bench.sh runs these into BENCH_solver.json.
 
 // benchGrid builds and factors a reference-style 5-point grid operator.
 func benchGrid(b *testing.B, nx, ny int) (*CSR, *CholeskyOperator) {
@@ -25,8 +24,8 @@ func benchGrid(b *testing.B, nx, ny int) (*CSR, *CholeskyOperator) {
 
 // BenchmarkCholeskyFactorNumeric measures the numeric factorization alone
 // (symbolic analysis amortized through Shift, exactly the backward-Euler
-// refactorization path). The N=16384 row is the multicore headline: the
-// level schedule plus within-panel splits should scale it with GOMAXPROCS.
+// refactorization path). The factorization is one serial sweep over the
+// supernodes, so GOMAXPROCS does not change its work.
 func BenchmarkCholeskyFactorNumeric(b *testing.B) {
 	for _, sz := range []struct{ nx, ny int }{{64, 64}, {128, 128}} {
 		_, op := benchGrid(b, sz.nx, sz.ny)

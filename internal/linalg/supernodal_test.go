@@ -192,41 +192,3 @@ func TestSolveBatchAllocationFree(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelFactorBitStable: the level-parallel factorization must produce
-// a bitwise-identical factor to the serial sweep (the size gate is bypassed
-// by calling the phases directly).
-func TestParallelFactorBitStable(t *testing.T) {
-	n, entries := gridEntries(48, 48) // 2304 unknowns: above parallelFactorMinN
-	m := NewCSR(n, entries)
-	sym := analyzeCholesky(m)
-	// Serial reference, built through the same per-chunk phases the
-	// factorization schedules.
-	ws := newSnScratch(sym)
-	ref := &cholFactor{vals: make([]float64, sym.panelLen), d: make([]float64, n), invD: make([]float64, n)}
-	for s := int32(0); int(s) < sym.Supernodes(); s++ {
-		w := int(sym.snStart[s+1] - sym.snStart[s])
-		chunk := sym.updateChunk(s)
-		for lo := 0; lo < w; lo += chunk {
-			factorPanelCols(m, sym, ref, s, lo, min(lo+chunk, w), ws)
-		}
-		if err := densePanelLDL(sym, ref, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.compress(sym)
-	got, err := factorSupernodal(m, sym)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.vals {
-		if got.vals[i] != ref.vals[i] {
-			t.Fatalf("panel value %d: parallel %v vs serial %v", i, got.vals[i], ref.vals[i])
-		}
-	}
-	for i := range ref.d {
-		if got.d[i] != ref.d[i] {
-			t.Fatalf("pivot %d: parallel %v vs serial %v", i, got.d[i], ref.d[i])
-		}
-	}
-}

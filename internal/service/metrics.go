@@ -112,11 +112,8 @@ func (m *metrics) requestCounts() map[string]int64 {
 
 // LatencyStats summarizes the solve-latency window. The percentiles cover
 // only the Window most recent observations (the ring's contents); Total
-// counts every observation ever recorded. Count is a deprecated alias of
-// Total kept for existing dashboards — it was historically reported next to
-// window-only percentiles as if it were their sample count.
+// counts every observation ever recorded.
 type LatencyStats struct {
-	Count  int     `json:"count"`
 	Window int     `json:"window"`
 	Total  int     `json:"total"`
 	P50MS  float64 `json:"p50_ms"`
@@ -292,7 +289,7 @@ func (m *metrics) snapshot(cache *ModelCache) Stats {
 		SolveErrors:         m.solveErrors.Load(),
 		Cache:               cs,
 		CacheHitRate:        hitRate,
-		SolveLatency:        LatencyStats{Count: total, Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
+		SolveLatency:        LatencyStats{Window: window, Total: total, P50MS: ps[0], P90MS: ps[1], P99MS: ps[2]},
 		Solver:              solver,
 		Degrade: DegradeStats{
 			DegradedSolves:  m.degradedSolves.Load(),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net"
 	"net/http"
 	"sync"
@@ -448,10 +449,66 @@ func doSteadyRaw(url string, req SteadyRequest) outcomeHTTP {
 	return outcomeHTTP{resp.StatusCode, resp.Header.Get("Retry-After"), buf.Bytes()}
 }
 
+// gateFS is a tstore.FS whose first file write blocks until release is
+// closed, so a persisted request stays in flight for as long as a test
+// needs it to. entered closes when that first write arrives.
+type gateFS struct {
+	tstore.FS
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGateFS() *gateFS {
+	return &gateFS{FS: tstore.OSFS(), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateFS) OpenFile(path string, flag int, perm fs.FileMode) (tstore.File, error) {
+	f, err := g.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{File: f, g: g}, nil
+}
+
+type gateFile struct {
+	tstore.File
+	g *gateFS
+}
+
+func (f gateFile) wait() {
+	f.g.once.Do(func() {
+		close(f.g.entered)
+		<-f.g.release
+	})
+}
+
+func (f gateFile) Write(p []byte) (int, error) {
+	f.wait()
+	return f.File.Write(p)
+}
+
+func (f gateFile) WriteAt(p []byte, off int64) (int, error) {
+	f.wait()
+	return f.File.WriteAt(p, off)
+}
+
 // TestServeGracefulShutdown: cancelling Serve's context drains — the
-// in-flight solve completes and Serve returns nil.
+// in-flight scenario grid runs to completion and Serve returns nil. The
+// scenario persists its telemetry through a gateFS, so it is held in flight
+// by construction (blocked on its first store write) until the shutdown
+// has begun; nothing depends on catching it between polls.
 func TestServeGracefulShutdown(t *testing.T) {
-	srv := New(Config{MaxConcurrent: 2})
+	gfs := newGateFS()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gfs.release) }) }
+	defer release()
+	st, err := tstore.Open(t.TempDir(), tstore.Options{FS: gfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv := New(Config{MaxConcurrent: 2, Store: st})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +531,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	// A scenario grid in flight across the shutdown must run to completion.
 	inflight := make(chan outcomeHTTP, 1)
 	go func() {
-		raw, _ := json.Marshal(ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
+		raw, _ := json.Marshal(ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON), Persist: "runs/shutdown"})
 		resp, err := http.Post("http://"+addr+"/v1/scenario", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			inflight <- outcomeHTTP{status: -1}
@@ -485,9 +542,20 @@ func TestServeGracefulShutdown(t *testing.T) {
 		resp.Body.Close()
 		inflight <- outcomeHTTP{status: resp.StatusCode, body: buf.Bytes()}
 	}()
-	waitCond(t, "scenario in flight", func() bool { return srv.admission.InFlight() >= 1 })
+	select {
+	case <-gfs.entered:
+	case res := <-inflight:
+		t.Fatalf("scenario finished before its first store write: status %d: %s", res.status, res.body)
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the scenario's first store write")
+	}
+	if n := srv.admission.InFlight(); n < 1 {
+		t.Fatalf("scenario blocked on its store write but in flight = %d", n)
+	}
 
 	cancel()
+	waitCond(t, "server draining", srv.Draining)
+	release()
 	if err := <-errc; err != nil {
 		t.Fatalf("Serve returned %v", err)
 	}
@@ -499,6 +567,10 @@ func TestServeGracefulShutdown(t *testing.T) {
 	decodeInto(t, res.body, &out)
 	if len(out.Cells) != 12 {
 		t.Fatalf("in-flight scenario finished with %d cells, want 12", len(out.Cells))
+	}
+	if out.Persist != "runs/shutdown" || out.PersistPending || out.PersistedRows == 0 {
+		t.Fatalf("in-flight scenario persisted %q (%d rows, pending %v), want runs/shutdown durable",
+			out.Persist, out.PersistedRows, out.PersistPending)
 	}
 	if !srv.Draining() {
 		t.Fatal("server not draining after shutdown")

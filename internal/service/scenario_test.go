@@ -82,9 +82,9 @@ func TestScenarioEndpoint(t *testing.T) {
 		t.Fatalf("first scenario request should report a cache miss, got %q", out.Cache)
 	}
 	// A repeat is a full cache hit and bit-identical.
-	resp2, raw2 := postJSON(t, ts.URL+"/scenario", ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
+	resp2, raw2 := postJSON(t, ts.URL+"/v1/scenario", ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("alias status %d", resp2.StatusCode)
+		t.Fatalf("repeat status %d", resp2.StatusCode)
 	}
 	var out2 ScenarioResponse
 	decodeInto(t, raw2, &out2)
@@ -94,6 +94,13 @@ func TestScenarioEndpoint(t *testing.T) {
 	for i := range out.Cells {
 		if !reflect.DeepEqual(out.Cells[i].Metrics, out2.Cells[i].Metrics) {
 			t.Fatalf("cell %d differs between runs", i)
+		}
+	}
+	// The unversioned aliases are gone.
+	for _, path := range []string{"/scenario", "/scenario/stream"} {
+		resp, raw := postJSON(t, ts.URL+path, ScenarioRequest{Spec: json.RawMessage(sweepSpecJSON)})
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404: %s", path, resp.StatusCode, raw)
 		}
 	}
 }

@@ -113,9 +113,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/invert", s.handleInvert)
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
 	s.mux.HandleFunc("POST /v1/scenario/stream", s.handleScenarioStream)
-	// Unversioned aliases for the scenario endpoints.
-	s.mux.HandleFunc("POST /scenario", s.handleScenario)
-	s.mux.HandleFunc("POST /scenario/stream", s.handleScenarioStream)
 	// Telemetry read path (answers 503 until a store is configured).
 	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/query/stream", s.handleQueryStream)

@@ -88,8 +88,8 @@ func TestSteadyEndpointAndCache(t *testing.T) {
 	if st.Cache.Compiles != 1 || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
 		t.Fatalf("cache stats: %+v", st.Cache)
 	}
-	if st.SolveLatency.Count < 2 {
-		t.Fatalf("latency samples %d", st.SolveLatency.Count)
+	if st.SolveLatency.Total < 2 {
+		t.Fatalf("latency samples %d", st.SolveLatency.Total)
 	}
 }
 
@@ -416,17 +416,22 @@ func TestStatsAndHealthz(t *testing.T) {
 		Model: ModelSpec{Floorplan: "ev6", Package: "air-sink"},
 		Power: map[string]float64{"IntReg": 2},
 	})
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	resp, raw := getJSON(t, ts.URL+"/v1/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d: %s", resp.StatusCode, raw)
 	}
-	defer resp.Body.Close()
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	decodeInto(t, raw, &st)
 	if st.Requests["steady"] != 1 || st.Cache.Compiles != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+	// solve_latency reports window and total; the old count alias is gone.
+	var keys struct {
+		SolveLatency map[string]json.RawMessage `json:"solve_latency"`
+	}
+	decodeInto(t, raw, &keys)
+	if _, ok := keys.SolveLatency["count"]; ok || keys.SolveLatency["total"] == nil {
+		t.Fatalf("solve_latency keys: %s", raw)
 	}
 }
 

@@ -17,7 +17,8 @@
 #
 # The suite runs once per GOMAXPROCS value in BENCH_PROCS (default "1 4"):
 # the single-core run is the per-core trajectory row, the multicore run
-# exercises the level-parallel factorization and within-panel splits. Each
+# exercises the internal/pool worker pools behind replay batches, scenario
+# grids and sweeps (the numeric factorization itself is serial). Each
 # run chains into the report via -prev, so the history array carries one
 # entry per (commit, gomaxprocs) and baselines/speedups match per core
 # count (see cmd/benchreport).
